@@ -34,6 +34,69 @@ def _spread(bits: int, positions: Sequence[int]) -> int:
     return out
 
 
+def _walk_nonsingular(rows: Sequence[int], rest: int, chosen: int, leaf) -> int:
+    """Count the non-empty sets T within ``rest`` with det(rows[T]) = 1.
+
+    ``rows`` holds a symmetric matrix, read only on the positions in the
+    bitmask ``rest``.  The lowest position v of ``rest`` is either left out,
+    or taken together with the rest of T by one Schur complement step, since
+    det(M[T]) = det(P) det((M / P)[T - P]) for the block P taken.  With a
+    loop on v, P = {v}.  Without one, a nonsingular T containing v must also
+    contain a neighbour w of v, so P = {v, w} (a block of det 1) for the
+    lowest such w in T: each neighbour in turn is taken and then dropped.
+    Each set T is reached exactly once; ``leaf``, when given, receives
+    ``chosen | T`` as a bitmask.  The empty set is the caller's to count.
+    """
+    total = 0
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        rv = rows[low.bit_length() - 1]
+        if rv & low:
+            total += 1
+            if leaf is not None:
+                leaf(chosen | low)
+            if rest:
+                # rank-one update: M[u] += M[u, v] M[v]
+                sub = list(rows)
+                hit = rv & rest
+                while hit:
+                    b = hit & -hit
+                    hit ^= b
+                    sub[b.bit_length() - 1] ^= rv
+                total += _walk_nonsingular(sub, rest, chosen | low, leaf)
+            continue
+        nbrs = rv & rest
+        left = rest
+        while nbrs:
+            wb = nbrs & -nbrs
+            nbrs ^= wb
+            left ^= wb
+            total += 1
+            if leaf is not None:
+                leaf(chosen | low | wb)
+            if not left:
+                break
+            # 2x2 update with P = [[0, 1], [1, d]], P^-1 = [[d, 1], [1, 0]]:
+            # M[u] += M[u, w] M[v] + M[u, v] (M[w] + d M[v])
+            rw = rows[wb.bit_length() - 1]
+            hit = rw & left
+            if rw & wb:
+                rw ^= rv
+            sub = list(rows)
+            while hit:
+                b = hit & -hit
+                hit ^= b
+                sub[b.bit_length() - 1] ^= rv
+            hit = rv & left
+            while hit:
+                b = hit & -hit
+                hit ^= b
+                sub[b.bit_length() - 1] ^= rw
+            total += _walk_nonsingular(sub, left, chosen | low | wb, leaf)
+    return total
+
+
 class Gf2Matrix:
     """Symmetric square 0/1 matrix over GF(2), indexed by arbitrary labels.
 
@@ -257,7 +320,8 @@ class Gf2Matrix:
             for i in range(k):
                 col_bits |= ((solved[i] >> a) & 1) << i
             new_rows[p] = _spread(col_bits, pos) | _spread(schur[a], rest)
-        return Gf2Matrix(self._labels, new_rows)
+        # the ppt of a symmetric matrix is symmetric, so skip the validation
+        return Gf2Matrix._trusted(self._labels, tuple(new_rows))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Gf2Matrix):

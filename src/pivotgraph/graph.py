@@ -36,14 +36,22 @@ class Graph:
         loop_set = frozenset(loops)
         edge_set = set()
         for e in edges:
-            u, v = e
+            try:
+                u, v = e
+                verts.add(u)
+                verts.add(v)
+                edge_set.add((u, v) if u < v else (v, u))
+            except (TypeError, ValueError):
+                raise InputError(
+                    f"edge {e!r} is not a pair of hashable, comparable vertex ids"
+                ) from None
             if u == v:
                 raise InputError(f"self-pair {u!r} is not an edge; declare it as a loop")
-            verts.add(u)
-            verts.add(v)
-            edge_set.add((u, v) if u < v else (v, u))
         verts |= loop_set
-        self._vertices = tuple(sorted(verts))
+        try:
+            self._vertices = tuple(sorted(verts))
+        except TypeError:
+            raise InputError(_order_clash(verts)) from None
         self._edge_set = frozenset(edge_set)
         self._edges = tuple(sorted(edge_set))
         self._loops = loop_set
@@ -156,6 +164,19 @@ class Graph:
             f"Graph(vertices={list(self._vertices)!r}, "
             f"edges={list(self._edges)!r}, loops={sorted(self._loops)!r})"
         )
+
+
+def _order_clash(verts: set) -> str:
+    """Error message naming two vertex ids that do not compare."""
+    reps = {}
+    for x in verts:
+        for y in reps.values():
+            try:
+                sorted((x, y))
+            except TypeError:
+                return f"vertex ids {y!r} and {x!r} cannot be ordered"
+        reps.setdefault(type(x), x)
+    return "vertex ids cannot be ordered"
 
 
 def _toggled(G: Graph, pair_toggles: set, new_loops=None) -> Graph:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Hashable, Optional, Union
 
 from .errors import InputError, NotApplicableError, UnsupportedSizeError
+from .gf2 import _walk_nonsingular
 from .graph import Graph, loop_complement, pivot
 
 __all__ = [
@@ -159,11 +160,8 @@ def is_support_applicable(G: Graph, subset: Iterable) -> bool:
 def apply_support(G: Graph, subset: Iterable) -> Graph:
     """Result of any applicable sequence whose support is ``subset``.
 
-    Built entrywise from determinants of the adjacency matrix A: the loop
-    bit of x is det(A[S xor {x}]) and the edge bit of xy is
-    det(A[S xor {x, y}]) xor the AND of the two loop bits.  On simple
-    graphs every loop bit is 0 and the edge rule reduces to the plain
-    determinant.
+    This is the principal pivot transform A*S of the adjacency matrix A on
+    S, read back as a graph: one block elimination over the whole matrix.
 
     Raises:
         NotApplicableError: when det(A[S]) = 0, i.e. no such sequence exists.
@@ -174,16 +172,7 @@ def apply_support(G: Graph, subset: Iterable) -> Graph:
     A = G.adjacency_matrix()
     if A.principal_submatrix(S).det() == 0:
         raise NotApplicableError("no applicable sequence has this support")
-    verts = G.vertices
-    diag = {x: A.principal_submatrix(S ^ {x}).det() for x in verts}
-    loops = [x for x in verts if diag[x]]
-    edges = []
-    for i, x in enumerate(verts):
-        for y in verts[i + 1 :]:
-            bit = A.principal_submatrix(S ^ {x, y}).det() ^ (diag[x] & diag[y])
-            if bit:
-                edges.append((x, y))
-    return Graph(verts, edges, loops)
+    return Graph.from_adjacency_matrix(A.ppt(S))
 
 
 def _pick_op(H: Graph, remaining: set, anchor=None):
@@ -269,7 +258,9 @@ def orbit(G: Graph, max_vertices: int = ORBIT_CAP) -> list:
     """All graphs reachable by applicable sequences, G included.
 
     One representative per labeled graph, sorted canonically.  Reachable
-    results are exactly the support closures over subsets with determinant 1.
+    results are exactly the ppts A*S over the subsets S with det(A[S]) = 1;
+    those subsets come from one walk of recursive Schur complements, and
+    each result from one ppt.
     """
     n = len(G.vertices)
     if n > max_vertices:
@@ -278,31 +269,31 @@ def orbit(G: Graph, max_vertices: int = ORBIT_CAP) -> list:
         )
     A = G.adjacency_matrix()
     verts = G.vertices
-    seen = set()
-    for mask in range(1 << n):
-        S = frozenset(verts[i] for i in range(n) if (mask >> i) & 1)
-        if A.principal_submatrix(S).det():
-            seen.add(apply_support(G, S))
+    seen = {G}
+
+    def reach(mask: int) -> None:
+        S = [verts[i] for i in range(n) if (mask >> i) & 1]
+        seen.add(Graph.from_adjacency_matrix(A.ppt(S)))
+
+    _walk_nonsingular(A.rows, (1 << n) - 1, 0, reach)
     return sorted(seen, key=_graph_key)
 
 
 def count_applicable_supports(G: Graph, max_vertices: int = COUNT_CAP) -> int:
     """Number of subsets that are supports of applicable sequences.
 
-    Counts S with det(A[S]) = 1; the empty set always counts.
+    Counts S with det(A[S]) = 1; the empty set always counts.  The minors
+    are not taken one by one: a walk over the vertices branches on leaving
+    each out or taking it in by a Schur complement step, so each counted
+    subset costs at most one pass of row updates and the others cost
+    nothing.
     """
     n = len(G.vertices)
     if n > max_vertices:
         raise UnsupportedSizeError(
             f"count_applicable_supports supports at most {max_vertices} vertices, got {n}"
         )
-    A = G.adjacency_matrix()
-    verts = G.vertices
-    total = 0
-    for mask in range(1 << n):
-        S = [verts[i] for i in range(n) if (mask >> i) & 1]
-        total += A.principal_submatrix(S).det()
-    return total
+    return 1 + _walk_nonsingular(G.adjacency_matrix().rows, (1 << n) - 1, 0, None)
 
 
 def check_commutation(G: Graph, u, v, w, z) -> bool:

@@ -55,6 +55,50 @@ def det_bruteforce(m):
     return total
 
 
+def minor_bruteforce(G, subset):
+    """det of the adjacency matrix of G on ``subset``, by permutation expansion."""
+    return det_bruteforce(G.induced_subgraph(subset).adjacency_matrix())
+
+
+def _vertex_subsets(G):
+    verts = G.vertices
+    for mask in range(1 << len(verts)):
+        yield frozenset(v for i, v in enumerate(verts) if (mask >> i) & 1)
+
+
+def apply_support_entrywise(G, subset):
+    """The graph that support ``subset`` yields, entry by entry from minors.
+
+    The loop bit of x is det(A[S xor {x}]) and the edge bit of xy is
+    det(A[S xor {x, y}]) xor the AND of the two loop bits.  Returns None when
+    det(A[S]) = 0, i.e. no applicable sequence has this support.
+    """
+    S = frozenset(subset)
+    if not minor_bruteforce(G, S):
+        return None
+    verts = G.vertices
+    diag = {x: minor_bruteforce(G, S ^ {x}) for x in verts}
+    edges = [
+        (x, y)
+        for i, x in enumerate(verts)
+        for y in verts[i + 1 :]
+        if minor_bruteforce(G, S ^ {x, y}) ^ (diag[x] & diag[y])
+    ]
+    return Graph(verts, edges, [x for x in verts if diag[x]])
+
+
+def count_supports_bruteforce(G):
+    """Number of vertex subsets S with det(A[S]) = 1, one minor per subset."""
+    return sum(minor_bruteforce(G, S) for S in _vertex_subsets(G))
+
+
+def orbit_bruteforce(G):
+    """Distinct entrywise support results over every subset, sorted like ``orbit``."""
+    seen = {apply_support_entrywise(G, S) for S in _vertex_subsets(G)}
+    seen.discard(None)
+    return sorted(seen, key=lambda g: (g.edges, tuple(sorted(g.loops))))
+
+
 def _pairings(items):
     if not items:
         yield ()

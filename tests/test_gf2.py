@@ -145,6 +145,24 @@ def test_ppt_involution_random():
         assert m.ppt(subset).ppt(subset) == m
 
 
+def test_ppt_output_symmetric_random():
+    rng = random.Random(98)
+    done = 0
+    while done < 200:
+        n = rng.randint(1, 10)
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                rows[i][j] = rows[j][i] = rng.randint(0, 1)
+        m = mat(range(n), rows)
+        subset = [i for i in range(n) if rng.random() < 0.5]
+        if m.principal_submatrix(subset).det() == 0:
+            continue
+        out = m.ppt(subset).to_dense()
+        assert all(out[i][j] == out[j][i] for i in range(n) for j in range(n))
+        done += 1
+
+
 def test_ppt_determinant_transfer_exhaustive():
     # det(ppt(M, X)[Y]) = det(M[X xor Y]) for every Y once X pivots
     for n in range(1, 5):

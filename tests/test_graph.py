@@ -43,6 +43,19 @@ def test_constructor_rejects_self_pair():
         Graph(edges=[("a", "a")])
 
 
+@pytest.mark.parametrize("bad", [(1, "a"), (1, 2, 3), (1,), 5, ("a", ["b"])])
+def test_constructor_names_malformed_edge(bad):
+    with pytest.raises(InputError) as err:
+        Graph(edges=[(0, 1), bad])
+    assert repr(bad) in str(err.value)
+
+
+def test_constructor_names_unorderable_vertices():
+    with pytest.raises(InputError) as err:
+        Graph(vertices=[1, 2], loops=["a"])
+    assert "'a'" in str(err.value) and ("1" in str(err.value) or "2" in str(err.value))
+
+
 def test_equality_and_hash():
     g = Graph(edges=[("a", "b"), ("b", "c")])
     h = Graph(edges=[("c", "b"), ("b", "a")])

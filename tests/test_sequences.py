@@ -1,6 +1,8 @@
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pivotgraph import (
     Graph,
@@ -27,6 +29,9 @@ from helpers import (
     add_true_twin,
     all_loop_graphs,
     all_simple_graphs,
+    apply_support_entrywise,
+    count_supports_bruteforce,
+    orbit_bruteforce,
     pm_bruteforce,
     random_applicable_sequence,
     random_loop_graph,
@@ -140,7 +145,9 @@ def test_apply_support_matches_ppt():
         s = frozenset(v for v in g.vertices if rng.random() < 0.5)
         if not is_support_applicable(g, s):
             continue
-        assert apply_support(g, s).adjacency_matrix() == g.adjacency_matrix().ppt(s)
+        expected = apply_support_entrywise(g, s)
+        assert expected.adjacency_matrix() == g.adjacency_matrix().ppt(s)
+        assert apply_support(g, s) == expected
         done += 1
 
 
@@ -280,6 +287,36 @@ def test_count_applicable_supports_matches_matching_oracle():
             pm_bruteforce(g.induced_subgraph(s)) for s in subsets(g.vertices)
         )
         assert count_applicable_supports(g) == expected
+
+
+@st.composite
+def loop_graphs(draw, max_n):
+    n = draw(st.integers(0, max_n))
+    pairs = list(combinations(range(n), 2))
+    emask = draw(st.integers(0, (1 << len(pairs)) - 1))
+    lmask = draw(st.integers(0, (1 << n) - 1))
+    return Graph(
+        range(n),
+        [e for i, e in enumerate(pairs) if (emask >> i) & 1],
+        [v for v in range(n) if (lmask >> v) & 1],
+    )
+
+
+def test_count_and_orbit_match_oracles_on_all_loop_graphs_4():
+    for g in all_loop_graphs(4):
+        assert count_applicable_supports(g) == count_supports_bruteforce(g)
+        assert orbit(g) == orbit_bruteforce(g)
+
+
+@given(loop_graphs(7))
+def test_count_matches_oracle_random_loop_graphs(g):
+    assert count_applicable_supports(g) == count_supports_bruteforce(g)
+
+
+@settings(max_examples=50)
+@given(loop_graphs(6))
+def test_orbit_matches_oracle_random_loop_graphs(g):
+    assert orbit(g) == orbit_bruteforce(g)
 
 
 def test_count_cap():
