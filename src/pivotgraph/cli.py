@@ -39,11 +39,8 @@ def cmd_det(args) -> int:
 
 
 def cmd_pm(args) -> int:
-    G = _read_graph(args)
-    if G.loops:
-        print(matchings.general_pm_parity(G))
-    else:
-        print(matchings.pm_parity(G))
+    # on simple graphs this is pm_parity: no vertex carries a loop
+    print(matchings.general_pm_parity(_read_graph(args)))
     return 0
 
 

@@ -163,13 +163,14 @@ def _token(label) -> str:
 
 def serialize_graph(G: Graph) -> str:
     """Canonical edge-list document; round-trips through parse_graph."""
-    covered = set(G.loops)
-    for u, v in G.edges:
+    loops, edges = G.loops, G.edges
+    covered = set(loops)
+    for u, v in edges:
         covered.add(u)
         covered.add(v)
     lines = [f"vertex {_token(v)}" for v in G.vertices if v not in covered]
-    lines += [f"loop {_token(v)}" for v in sorted(G.loops)]
-    lines += [f"{_token(u)} {_token(v)}" for u, v in G.edges]
+    lines += [f"loop {_token(v)}" for v in sorted(loops)]
+    lines += [f"{_token(u)} {_token(v)}" for u, v in edges]
     if not lines:
         return ""
     return "\n".join(lines) + "\n"

@@ -8,7 +8,7 @@ matrix is 1.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from typing import Hashable, Optional
 
 from .errors import InputError, SingularPivotError
@@ -26,12 +26,42 @@ def _compress(row: int, positions: Sequence[int]) -> int:
     return out
 
 
-def _spread(bits: int, positions: Sequence[int]) -> int:
-    """Inverse of :func:`_compress`: place bit i of ``bits`` at positions[i]."""
-    out = 0
-    for i, p in enumerate(positions):
-        out |= ((bits >> i) & 1) << p
-    return out
+def _ones(bits: int) -> Iterator[int]:
+    """Positions of the set bits of ``bits``, lowest first."""
+    while bits:
+        low = bits & -bits
+        bits ^= low
+        yield low.bit_length() - 1
+
+
+def _eliminate(rows: list, cols: Iterable[int]) -> int:
+    """Gauss-Jordan elimination of ``rows`` in place on the bit columns ``cols``.
+
+    For each column in turn, the first row at or below the rank with that
+    bit set is the pivot: it moves up to position rank and is added to every
+    other row holding the bit.  Afterwards rows[:rank] are the pivot rows in
+    column order and rows[rank:] are zero on ``cols``.  Bits outside
+    ``cols``, such as tags placed above the matrix order, ride along.
+
+    Returns:
+        the rank of ``rows`` restricted to ``cols``.
+    """
+    rank = 0
+    for col in cols:
+        bit = 1 << col
+        for i in range(rank, len(rows)):
+            if rows[i] & bit:
+                break
+        else:
+            continue
+        prow = rows[i]
+        rows[i] = rows[rank]
+        rows[rank] = prow
+        for j, r in enumerate(rows):
+            if r & bit and j != rank:
+                rows[j] = r ^ prow
+        rank += 1
+    return rank
 
 
 def _walk_nonsingular(rows: Sequence[int], rest: int, chosen: int, leaf) -> int:
@@ -199,28 +229,8 @@ class Gf2Matrix:
         return Gf2Matrix._trusted(labels, rows)
 
     def det(self) -> int:
-        """Determinant over GF(2) by elimination; 1 for the empty matrix.
-
-        The pivot row for each column is the first row with a nonzero entry,
-        so the elimination order is deterministic.
-        """
-        rows = list(self._rows)
-        n = len(rows)
-        for col in range(n):
-            piv = None
-            for i in range(col, n):
-                if (rows[i] >> col) & 1:
-                    piv = i
-                    break
-            if piv is None:
-                return 0
-            if piv != col:
-                rows[col], rows[piv] = rows[piv], rows[col]
-            prow = rows[col]
-            for i in range(col + 1, n):
-                if (rows[i] >> col) & 1:
-                    rows[i] ^= prow
-        return 1
+        """Determinant over GF(2) by elimination; 1 for the empty matrix."""
+        return 1 if _eliminate(list(self._rows), range(self.order)) == self.order else 0
 
     def kernel_witness(self) -> Optional[frozenset]:
         """A non-empty label set whose rows sum to zero, or None if det = 1.
@@ -232,30 +242,14 @@ class Gf2Matrix:
             frozenset of labels, or None when the matrix is nonsingular.
         """
         n = self.order
-        rows = list(self._rows)
-        tags = [1 << i for i in range(n)]
-        rank = 0
-        for col in range(n):
-            piv = None
-            for i in range(rank, n):
-                if (rows[i] >> col) & 1:
-                    piv = i
-                    break
-            if piv is None:
-                continue
-            rows[rank], rows[piv] = rows[piv], rows[rank]
-            tags[rank], tags[piv] = tags[piv], tags[rank]
-            for i in range(rank + 1, n):
-                if (rows[i] >> col) & 1:
-                    rows[i] ^= rows[rank]
-                    tags[i] ^= tags[rank]
-            rank += 1
+        # row i carries the tag bit n + i, recording which rows were summed
+        rows = [r | 1 << (n + i) for i, r in enumerate(self._rows)]
+        rank = _eliminate(rows, range(n))
         if rank == n:
             return None
         # row `rank` is fully eliminated; its tag records which original rows
         # sum to zero, and row operations keep tags invertible, hence non-empty
-        tag = tags[rank]
-        return frozenset(self._labels[i] for i in range(n) if (tag >> i) & 1)
+        return frozenset(self._labels[i] for i in _ones(rows[rank] >> n))
 
     def ppt(self, pivot_set: Iterable[Label]) -> "Gf2Matrix":
         """Principal pivot transform on ``pivot_set``.
@@ -263,8 +257,12 @@ class Gf2Matrix:
         Writing the matrix in blocks with P the principal submatrix on the
         pivot set and Q the rows of the pivot set restricted to the other
         columns, the result is ``[[P^-1, P^-1 Q], [(P^-1 Q)^T, S + Q^T P^-1 Q]]``
-        over GF(2).  Computed by block elimination: one Gauss-Jordan pass on
-        ``[P | I | Q]`` yields P^-1 and P^-1 Q together.
+        over GF(2).  The pivot rows, each tagged with its own bit above the
+        matrix order, are solved by Gauss-Jordan elimination on the pivot
+        columns: the solved row of pivot p holds row p of P^-1 Q in the other
+        columns and row p of P^-1 in its tag bits.  Every other row then adds
+        the solved rows of its neighbours in the pivot set, which clears its
+        pivot columns and leaves its new row, tags included.
 
         Args:
             pivot_set: labels to pivot on; their principal submatrix must be
@@ -277,51 +275,24 @@ class Gf2Matrix:
         if not pos:
             return self
         n = self.order
-        chosen = set(pos)
-        rest = [i for i in range(n) if i not in chosen]
-        k, r = len(pos), len(rest)
-
-        block = [_compress(self._rows[i], pos) for i in pos]
-        right = [_compress(self._rows[i], rest) for i in pos]
-        aug = [block[i] | (1 << (k + i)) | (right[i] << (2 * k)) for i in range(k)]
-        for col in range(k):
-            piv = None
-            for i in range(col, k):
-                if (aug[i] >> col) & 1:
-                    piv = i
-                    break
-            if piv is None:
-                raise SingularPivotError(
-                    "principal submatrix on the pivot set is singular"
-                )
-            if piv != col:
-                aug[col], aug[piv] = aug[piv], aug[col]
-            for i in range(k):
-                if i != col and (aug[i] >> col) & 1:
-                    aug[i] ^= aug[col]
-        mask_k = (1 << k) - 1
-        mask_r = (1 << r) - 1
-        p_inv = [(aug[i] >> k) & mask_k for i in range(k)]
-        solved = [(aug[i] >> (2 * k)) & mask_r for i in range(k)]
-
-        schur = [_compress(self._rows[i], rest) for i in rest]
-        for i in range(k):
-            q_bits = right[i]
-            while q_bits:
-                low = q_bits & -q_bits
-                schur[low.bit_length() - 1] ^= solved[i]
-                q_bits ^= low
-
-        new_rows = [0] * n
-        for i, p in enumerate(pos):
-            new_rows[p] = _spread(p_inv[i], pos) | _spread(solved[i], rest)
-        for a, p in enumerate(rest):
-            col_bits = 0
-            for i in range(k):
-                col_bits |= ((solved[i] >> a) & 1) << i
-            new_rows[p] = _spread(col_bits, pos) | _spread(schur[a], rest)
+        rows = self._rows
+        solved = [rows[p] | 1 << (n + p) for p in pos]
+        if _eliminate(solved, pos) < len(pos):
+            raise SingularPivotError("principal submatrix on the pivot set is singular")
+        pivots = 0
+        for p in pos:
+            pivots |= 1 << p
+        new_rows = list(rows)
+        for p, row in zip(pos, solved):
+            for x in _ones(rows[p] & ~pivots):
+                new_rows[x] ^= row
+            new_rows[p] = row ^ (1 << p)
+        # fold the tags (rows of P^-1) onto the pivot columns, left zero above
+        low = (1 << n) - 1
         # the ppt of a symmetric matrix is symmetric, so skip the validation
-        return Gf2Matrix._trusted(self._labels, tuple(new_rows))
+        return Gf2Matrix._trusted(
+            self._labels, tuple((r & low) | (r >> n) for r in new_rows)
+        )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Gf2Matrix):

@@ -7,7 +7,7 @@ from itertools import permutations
 from typing import Hashable
 
 from .errors import InputError, NotApplicableError, UnsupportedSizeError
-from .gf2 import Gf2Matrix
+from .gf2 import Gf2Matrix, _ones
 
 __all__ = [
     "Graph",
@@ -26,21 +26,24 @@ class Graph:
 
     Vertex ids are opaque tokens with a total order (ints, strings, ...).
     The vertex set is the union of ``vertices``, edge endpoints, and loop
-    carriers; edges are unordered pairs of distinct vertices.
+    carriers; edges are unordered pairs of distinct vertices.  The graph is
+    stored as its adjacency matrix: the sorted vertex tuple plus symmetric
+    bit rows, loops on the diagonal.
     """
 
-    __slots__ = ("_vertices", "_adj", "_loops", "_edge_set", "_edges")
+    __slots__ = ("_matrix",)
 
     def __init__(self, vertices: Iterable = (), edges: Iterable = (), loops: Iterable = ()):
-        verts = set(vertices)
-        loop_set = frozenset(loops)
-        edge_set = set()
+        verts = _vertex_ids(vertices, "vertex id")
+        loop_set = _vertex_ids(loops, "loop carrier")
+        pairs = []
         for e in edges:
             try:
                 u, v = e
                 verts.add(u)
                 verts.add(v)
-                edge_set.add((u, v) if u < v else (v, u))
+                # comparing here names the edge whose ids do not compare
+                pairs.append((u, v) if u < v else (v, u))
             except (TypeError, ValueError):
                 raise InputError(
                     f"edge {e!r} is not a pair of hashable, comparable vertex ids"
@@ -49,121 +52,127 @@ class Graph:
                 raise InputError(f"self-pair {u!r} is not an edge; declare it as a loop")
         verts |= loop_set
         try:
-            self._vertices = tuple(sorted(verts))
+            labels = tuple(sorted(verts))
         except TypeError:
             raise InputError(_order_clash(verts)) from None
-        self._edge_set = frozenset(edge_set)
-        self._edges = tuple(sorted(edge_set))
-        self._loops = loop_set
-        adj = {v: set() for v in self._vertices}
-        for u, v in edge_set:
-            adj[u].add(v)
-            adj[v].add(u)
-        self._adj = {v: frozenset(ws) for v, ws in adj.items()}
+        pos = {v: i for i, v in enumerate(labels)}
+        rows = [0] * len(labels)
+        for u, v in pairs:
+            i, j = pos[u], pos[v]
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+        for v in loop_set:
+            rows[pos[v]] |= 1 << pos[v]
+        self._matrix = Gf2Matrix._trusted(labels, tuple(rows))
+
+    @classmethod
+    def _of(cls, m: Gf2Matrix) -> "Graph":
+        # internal fast path: m has strictly increasing labels
+        g = object.__new__(cls)
+        g._matrix = m
+        return g
 
     @property
     def vertices(self) -> tuple:
-        return self._vertices
+        return self._matrix.labels
 
     @property
     def edges(self) -> tuple:
         """Edges as sorted (u, v) pairs with u < v, in sorted order."""
-        return self._edges
+        labels = self._matrix.labels
+        return tuple(
+            (u, labels[i + 1 + j])
+            for i, (u, row) in enumerate(zip(labels, self._matrix.rows))
+            for j in _ones(row >> (i + 1))
+        )
 
     @property
     def loops(self) -> frozenset:
-        return self._loops
+        m = self._matrix
+        return frozenset(v for i, (v, r) in enumerate(zip(m.labels, m.rows)) if r >> i & 1)
 
     def is_simple(self) -> bool:
-        return not self._loops
+        return not any(r >> i & 1 for i, r in enumerate(self._matrix.rows))
 
     def __contains__(self, v) -> bool:
-        return v in self._adj
+        return v in self._matrix._pos
 
-    def _require_vertex(self, v) -> None:
-        if v not in self._adj:
-            raise InputError(f"unknown vertex: {v!r}")
+    def _require_vertex(self, v) -> int:
+        """Position of v in the vertex tuple; InputError when v is no vertex."""
+        try:
+            return self._matrix._pos[v]
+        except KeyError:
+            raise InputError(f"unknown vertex: {v!r}") from None
 
     def has_edge(self, u, v) -> bool:
-        self._require_vertex(u)
-        self._require_vertex(v)
-        return v in self._adj[u]
+        i = self._require_vertex(u)
+        j = self._require_vertex(v)
+        return i != j and bool(self._matrix.rows[i] >> j & 1)
 
     def has_loop(self, v) -> bool:
-        self._require_vertex(v)
-        return v in self._loops
+        i = self._require_vertex(v)
+        return bool(self._matrix.rows[i] >> i & 1)
 
     def neighbors(self, v) -> frozenset:
-        self._require_vertex(v)
-        return self._adj[v]
+        i = self._require_vertex(v)
+        labels = self._matrix.labels
+        return frozenset(labels[j] for j in _ones(self._matrix.rows[i] & ~(1 << i)))
 
     def sim(self, x, y) -> int:
         """1 iff x = y or xy is an edge; defined on simple graphs only."""
         self._require_vertex(x)
         self._require_vertex(y)
-        if self._loops:
+        if not self.is_simple():
             raise InputError("sim is defined on simple graphs; use adj_entry")
-        return 1 if x == y or y in self._adj[x] else 0
+        return 1 if x == y else self._matrix.entry(x, y)
 
     def adj_entry(self, x, y) -> int:
         """Adjacency-matrix entry: loop bit on the diagonal, edge bit off it."""
         self._require_vertex(x)
         self._require_vertex(y)
-        if x == y:
-            return 1 if x in self._loops else 0
-        return 1 if y in self._adj[x] else 0
+        return self._matrix.entry(x, y)
 
     def induced_subgraph(self, keep: Iterable) -> "Graph":
         keep = set(keep)
         for v in keep:
             self._require_vertex(v)
-        return Graph(
-            keep,
-            (e for e in self._edges if e[0] in keep and e[1] in keep),
-            self._loops & keep,
-        )
+        return Graph._of(self._matrix.principal_submatrix(keep))
 
     def adjacency_matrix(self) -> Gf2Matrix:
         """Symmetric GF(2) matrix with edge bits off-diagonal and loop bits on it."""
-        idx = {v: i for i, v in enumerate(self._vertices)}
-        rows = [0] * len(self._vertices)
-        for u, v in self._edge_set:
-            rows[idx[u]] |= 1 << idx[v]
-            rows[idx[v]] |= 1 << idx[u]
-        for v in self._loops:
-            rows[idx[v]] |= 1 << idx[v]
-        return Gf2Matrix._trusted(self._vertices, tuple(rows))
+        return self._matrix
 
     @classmethod
     def from_adjacency_matrix(cls, m: Gf2Matrix) -> "Graph":
-        labels = m.labels
-        edges = []
-        loops = []
-        for i, u in enumerate(labels):
-            if (m.rows[i] >> i) & 1:
-                loops.append(u)
-            for j in range(i + 1, len(labels)):
-                if (m.rows[i] >> j) & 1:
-                    edges.append((u, labels[j]))
-        return cls(labels, edges, loops)
+        g = cls._of(m)
+        # sorts the labels, or names two that do not compare
+        vertices = cls(m.labels).vertices
+        return g if vertices == m.labels else cls(vertices, g.edges, g.loops)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return (
-            self._vertices == other._vertices
-            and self._edge_set == other._edge_set
-            and self._loops == other._loops
-        )
+        return self._matrix == other._matrix
 
     def __hash__(self) -> int:
-        return hash((self._vertices, self._edge_set, self._loops))
+        return hash(self._matrix)
 
     def __repr__(self) -> str:
         return (
-            f"Graph(vertices={list(self._vertices)!r}, "
-            f"edges={list(self._edges)!r}, loops={sorted(self._loops)!r})"
+            f"Graph(vertices={list(self.vertices)!r}, "
+            f"edges={list(self.edges)!r}, loops={sorted(self.loops)!r})"
         )
+
+
+def _vertex_ids(items: Iterable, what: str) -> set:
+    """The set of ``items``, naming the first one that is not hashable."""
+    out = set()
+    for x in items:
+        try:
+            out.add(x)
+        except TypeError:
+            raise InputError(f"{what} {x!r} is not hashable") from None
+    return out
 
 
 def _order_clash(verts: set) -> str:
@@ -179,25 +188,23 @@ def _order_clash(verts: set) -> str:
     return "vertex ids cannot be ordered"
 
 
-def _toggled(G: Graph, pair_toggles: set, new_loops=None) -> Graph:
-    loops = G.loops if new_loops is None else new_loops
-    return Graph(G.vertices, G._edge_set ^ frozenset(pair_toggles), loops)
-
-
 def local_complement(G: Graph, u) -> Graph:
     """Complement the edges among the neighbors of u; simple graphs only."""
-    G._require_vertex(u)
-    if G.loops:
+    i = G._require_vertex(u)
+    if not G.is_simple():
         raise InputError(
             "local_complement is defined on simple graphs; use loop_complement"
         )
-    nbrs = sorted(G.neighbors(u))
-    toggles = {(nbrs[i], nbrs[j]) for i in range(len(nbrs)) for j in range(i + 1, len(nbrs))}
-    return _toggled(G, toggles)
+    # each neighbour row adds the neighbourhood of u, minus its own diagonal bit
+    rows = list(G._matrix.rows)
+    nbrs = rows[i]
+    for j in _ones(nbrs):
+        rows[j] ^= nbrs ^ (1 << j)
+    return Graph._of(Gf2Matrix._trusted(G.vertices, tuple(rows)))
 
 
 def loop_complement(G: Graph, u) -> Graph:
-    """Complementation at a looped vertex u.
+    """Complementation at a looped vertex u: the ppt on {u}.
 
     Edges among the neighbors of u are complemented and the loop of every
     neighbor is toggled; u keeps its loop and its incident edges.
@@ -205,17 +212,15 @@ def loop_complement(G: Graph, u) -> Graph:
     G._require_vertex(u)
     if not G.has_loop(u):
         raise NotApplicableError(f"loop_complement at {u!r}: vertex has no loop")
-    nbrs = sorted(G.neighbors(u))
-    toggles = {(nbrs[i], nbrs[j]) for i in range(len(nbrs)) for j in range(i + 1, len(nbrs))}
-    return _toggled(G, toggles, G.loops ^ G.neighbors(u))
+    return Graph._of(G._matrix.ppt((u,)))
 
 
 def pivot(G: Graph, u, v) -> Graph:
-    """Pivot on the edge uv; u and v must be loop-free.
+    """Pivot on the edge uv; u and v must be loop-free.  This is the ppt on {u, v}.
 
-    Splits the union of closed neighborhoods of u and v into the vertices
-    seeing only u, only v, or both, and toggles every pair that straddles
-    two different classes.  u and v stay adjacent and keep their labels.
+    It toggles every pair of vertices that lie in two different classes of
+    the union of closed neighborhoods of u and v: the vertices seeing only
+    u, only v, or both.  u and v stay adjacent and keep their labels.
     """
     G._require_vertex(u)
     G._require_vertex(v)
@@ -225,17 +230,7 @@ def pivot(G: Graph, u, v) -> Graph:
         raise NotApplicableError(f"pivot {u!r}-{v!r} requires loop-free endpoints")
     if not G.has_edge(u, v):
         raise NotApplicableError(f"pivot {u!r}-{v!r}: no such edge")
-    closed_u = G.neighbors(u) | {u}
-    closed_v = G.neighbors(v) | {v}
-    only_u = closed_u - closed_v
-    only_v = closed_v - closed_u
-    shared = closed_u & closed_v
-    toggles = set()
-    for side_a, side_b in ((only_u, only_v), (only_u, shared), (only_v, shared)):
-        for x in side_a:
-            for y in side_b:
-                toggles.add((x, y) if x < y else (y, x))
-    return _toggled(G, toggles)
+    return Graph._of(G._matrix.ppt((u, v)))
 
 
 def overlap_graph(word) -> Graph:
@@ -276,13 +271,13 @@ def is_isomorphic_small(G: Graph, H: Graph, max_vertices: int = 8) -> bool:
         raise UnsupportedSizeError(
             f"isomorphism test supports at most {max_vertices} vertices, got {n}"
         )
-    if len(G.edges) != len(H.edges) or len(G.loops) != len(H.loops):
+    g_edges, g_loops, h_loops = G.edges, G.loops, H.loops
+    if len(g_edges) != len(H.edges) or len(g_loops) != len(h_loops):
         return False
-    gv = G.vertices
     for perm in permutations(H.vertices):
-        m = dict(zip(gv, perm))
-        if all(m[v] in H._adj[m[u]] for u, v in G.edges) and all(
-            m[x] in H.loops for x in G.loops
+        m = dict(zip(G.vertices, perm))
+        if all(H.has_edge(m[u], m[v]) for u, v in g_edges) and all(
+            m[x] in h_loops for x in g_loops
         ):
             return True
     return False

@@ -4,16 +4,11 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 
-from .errors import InputError, UnsupportedSizeError
+from .errors import InputError
+from .gf2 import Gf2Matrix
 from .graph import Graph
 
 __all__ = ["enumerate_pairings", "pm_parity", "general_pm_parity", "pm_multiset"]
-
-# above this order pm_parity switches from enumeration to the determinant
-_ENUMERATION_LIMIT = 12
-
-# (13)!! pairings of 14 positions is the largest pm_multiset will walk
-_MULTISET_CAP = 14
 
 
 def enumerate_pairings(n: int) -> Iterator[tuple]:
@@ -42,44 +37,24 @@ def enumerate_pairings(n: int) -> Iterator[tuple]:
 def pm_parity(G: Graph) -> int:
     """Parity of the number of perfect matchings of a simple graph.
 
-    1 for the empty graph, 0 whenever the vertex count is odd.
+    1 for the empty graph, 0 whenever the vertex count is odd.  Computed as
+    the adjacency determinant: over GF(2) the permutations with a cycle of
+    length 3 or more cancel against their reversals, and the fixed-point-free
+    involutions left over are the perfect matchings.
     """
-    if G.loops:
+    if not G.is_simple():
         raise InputError("pm_parity is defined on simple graphs; use general_pm_parity")
-    verts = G.vertices
-    if len(verts) % 2:
-        return 0
-    if len(verts) > _ENUMERATION_LIMIT:
-        # enumeration is exponential; the adjacency determinant has the same parity
-        return G.adjacency_matrix().det()
-
-    def count(remaining: frozenset) -> int:
-        if not remaining:
-            return 1
-        v = min(remaining)
-        rest = remaining - {v}
-        parity = 0
-        for w in G.neighbors(v) & rest:
-            parity ^= count(rest - {w})
-        return parity
-
-    return count(frozenset(verts))
+    return G.adjacency_matrix().det()
 
 
 def general_pm_parity(G: Graph) -> int:
-    """Parity of partitions of V into edges and looped singletons; 1 when V is empty."""
+    """Parity of partitions of V into edges and looped singletons; 1 when V is empty.
 
-    def count(remaining: frozenset) -> int:
-        if not remaining:
-            return 1
-        v = min(remaining)
-        rest = remaining - {v}
-        parity = count(rest) if G.has_loop(v) else 0
-        for w in G.neighbors(v) & rest:
-            parity ^= count(rest - {w})
-        return parity
-
-    return count(frozenset(G.vertices))
+    The adjacency determinant with loops on the diagonal: the involutions
+    that survive the cancellation in :func:`pm_parity` may now fix looped
+    vertices.
+    """
+    return G.adjacency_matrix().det()
 
 
 def pm_multiset(G: Graph, args: Sequence) -> int:
@@ -87,23 +62,17 @@ def pm_multiset(G: Graph, args: Sequence) -> int:
 
     XOR over all pairings of the argument positions of the AND, over the
     pairs, of sim on the paired vertices.  The empty list gives 1 and two
-    arguments give sim(x, y).  G must be simple.
+    arguments give sim(x, y).  G must be simple.  This is the perfect-matching
+    parity of the graph on the positions joined where sim is 1, hence the
+    determinant of the sim matrix of the arguments with its diagonal cleared.
     """
     args = tuple(args)
     n = len(args)
     if n % 2:
         raise InputError(f"pm_multiset needs an even number of arguments, got {n}")
-    if n > _MULTISET_CAP:
-        raise UnsupportedSizeError(
-            f"pm_multiset supports at most {_MULTISET_CAP} arguments, got {n}"
-        )
-    s = [[G.sim(a, b) for b in args] for a in args]
-    parity = 0
-    for pairing in enumerate_pairings(n):
-        term = 1
-        for i, j in pairing:
-            if not s[i][j]:
-                term = 0
-                break
-        parity ^= term
-    return parity
+    # sim(a, a) = 1, so the XOR with bit i clears the diagonal
+    rows = [
+        sum(G.sim(a, b) << j for j, b in enumerate(args)) ^ (1 << i)
+        for i, a in enumerate(args)
+    ]
+    return Gf2Matrix._trusted(tuple(range(n)), tuple(rows)).det()

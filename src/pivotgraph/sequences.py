@@ -13,7 +13,7 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from typing import Hashable, Optional, Union
 
-from .errors import InputError, NotApplicableError, UnsupportedSizeError
+from .errors import InputError, NotApplicableError, SingularPivotError, UnsupportedSizeError
 from .gf2 import _walk_nonsingular
 from .graph import Graph, loop_complement, pivot
 
@@ -169,10 +169,10 @@ def apply_support(G: Graph, subset: Iterable) -> Graph:
     S = frozenset(subset)
     for x in S:
         G._require_vertex(x)
-    A = G.adjacency_matrix()
-    if A.principal_submatrix(S).det() == 0:
-        raise NotApplicableError("no applicable sequence has this support")
-    return Graph.from_adjacency_matrix(A.ppt(S))
+    try:
+        return Graph.from_adjacency_matrix(G.adjacency_matrix().ppt(S))
+    except SingularPivotError:
+        raise NotApplicableError("no applicable sequence has this support") from None
 
 
 def _pick_op(H: Graph, remaining: set, anchor=None):

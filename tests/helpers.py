@@ -110,6 +110,16 @@ def _pairings(items):
             yield ((first, rest[i]),) + tail
 
 
+def pm_multiset_bruteforce(G, args):
+    """Pairing formula by walking every pairing of the argument positions."""
+    edges = {frozenset(e) for e in G.edges}
+    total = 0
+    for pairing in _pairings(tuple(range(len(args)))):
+        if all(args[i] == args[j] or frozenset((args[i], args[j])) in edges for i, j in pairing):
+            total ^= 1
+    return total
+
+
 def pm_bruteforce(G):
     """Perfect-matching parity by walking every pairing of the vertex set."""
     verts = tuple(G.vertices)
@@ -138,13 +148,48 @@ def general_pm_bruteforce(G):
     return total
 
 
+def _neighbour_sets(G):
+    adj = {v: set() for v in G.vertices}
+    for u, v in G.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
+
+
+def _toggle_pairs(G, pairs, loops):
+    edges = {frozenset(e) for e in G.edges} ^ {frozenset(p) for p in pairs}
+    return Graph(G.vertices, (tuple(e) for e in edges), loops)
+
+
+def pivot_by_classes(G, u, v):
+    """Pivot on the edge uv by its definition, from the edge list.
+
+    The union of the closed neighbourhoods of u and v splits into the
+    vertices seeing only u, only v, or both; every pair straddling two of
+    these classes is toggled.
+    """
+    adj = _neighbour_sets(G)
+    closed_u = adj[u] | {u}
+    closed_v = adj[v] | {v}
+    classes = (closed_u - closed_v, closed_v - closed_u, closed_u & closed_v)
+    pairs = [(x, y) for a, b in combinations(classes, 2) for x in a for y in b]
+    return _toggle_pairs(G, pairs, G.loops)
+
+
+def loop_rule_by_neighbourhood(G, u):
+    """Loop rule at u by its definition, from the edge list.
+
+    The edges among the neighbours of u are complemented and each
+    neighbour's loop is toggled.
+    """
+    nbrs = _neighbour_sets(G)[u]
+    return _toggle_pairs(G, combinations(nbrs, 2), G.loops ^ nbrs)
+
+
 def applicable_ops(G):
-    ops = [LocalComp(v) for v in sorted(G.loops)]
-    ops += [
-        Pivot(u, v)
-        for u, v in G.edges
-        if u not in G.loops and v not in G.loops
-    ]
+    loops = G.loops
+    ops = [LocalComp(v) for v in sorted(loops)]
+    ops += [Pivot(u, v) for u, v in G.edges if u not in loops and v not in loops]
     return ops
 
 

@@ -20,7 +20,6 @@ from pivotgraph import (
     apply_support,
     check_commutation,
     count_applicable_supports,
-    general_pm_parity,
     is_applicable,
     is_isomorphic_small,
     is_reduced,
@@ -38,6 +37,7 @@ from helpers import (
     all_loop_graphs,
     all_simple_graphs,
     all_symmetric_matrices,
+    general_pm_bruteforce,
     pm_bruteforce,
     random_applicable_sequence,
     random_loop_graph,
@@ -91,10 +91,10 @@ def test_criterion_01_overlap_word_golden():
 def test_criterion_02_determinant_equals_matching_parity():
     t0 = time.perf_counter()
     for g in all_simple_graphs(6):
-        assert g.adjacency_matrix().det() == pm_parity(g)
+        assert g.adjacency_matrix().det() == pm_bruteforce(g)
     for n in range(5):
         for g in all_loop_graphs(n):
-            assert g.adjacency_matrix().det() == general_pm_parity(g)
+            assert g.adjacency_matrix().det() == general_pm_bruteforce(g)
     assert _pass(2, "determinant equals matching parity", t0) < 60.0
 
 

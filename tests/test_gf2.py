@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from pivotgraph import Gf2Matrix, InputError, SingularPivotError
 from helpers import all_symmetric_matrices, det_bruteforce
@@ -143,6 +144,29 @@ def test_ppt_involution_random():
         if m.principal_submatrix(subset).det() == 0:
             continue
         assert m.ppt(subset).ppt(subset) == m
+
+
+@st.composite
+def matrix_and_two_sets(draw, max_n=8):
+    n = draw(st.integers(1, max_n))
+    rows = [0] * n
+    for i in range(n):
+        for j in range(i, n):
+            if draw(st.booleans()):
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    subsets = st.frozensets(st.integers(0, n - 1))
+    return Gf2Matrix(range(n), rows), draw(subsets), draw(subsets)
+
+
+@given(matrix_and_two_sets())
+def test_ppt_composition(case):
+    # (A*X)*Y = A*(X xor Y) whenever both transforms on the left are defined
+    m, X, Y = case
+    assume(m.principal_submatrix(X).det() == 1)
+    first = m.ppt(X)
+    assume(first.principal_submatrix(Y).det() == 1)
+    assert first.ppt(Y) == m.ppt(X ^ Y)
 
 
 def test_ppt_output_symmetric_random():

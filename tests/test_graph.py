@@ -13,7 +13,13 @@ from pivotgraph import (
     overlap_graph,
     pivot,
 )
-from helpers import all_loop_graphs, all_simple_graphs, random_simple_graph
+from helpers import (
+    all_loop_graphs,
+    all_simple_graphs,
+    loop_rule_by_neighbourhood,
+    pivot_by_classes,
+    random_simple_graph,
+)
 
 WORD = "3 5 2 6 5 4 1 3 6 1 2 4"
 WORD_PIVOTED = "3 6 1 2 6 5 4 1 3 5 2 4"
@@ -43,10 +49,22 @@ def test_constructor_rejects_self_pair():
         Graph(edges=[("a", "a")])
 
 
-@pytest.mark.parametrize("bad", [(1, "a"), (1, 2, 3), (1,), 5, ("a", ["b"])])
-def test_constructor_names_malformed_edge(bad):
+@pytest.mark.parametrize(
+    "field, bad",
+    [
+        pytest.param("edges", (1, "a"), id="bad0"),
+        pytest.param("edges", (1, 2, 3), id="bad1"),
+        pytest.param("edges", (1,), id="bad2"),
+        pytest.param("edges", 5, id="5"),
+        pytest.param("edges", ("a", ["b"]), id="bad4"),
+        pytest.param("vertices", [1], id="vertex"),
+        pytest.param("loops", [1], id="loop"),
+    ],
+)
+def test_constructor_names_malformed_edge(field, bad):
+    items = [(0, 1), bad] if field == "edges" else [bad]
     with pytest.raises(InputError) as err:
-        Graph(edges=[(0, 1), bad])
+        Graph(**{field: items})
     assert repr(bad) in str(err.value)
 
 
@@ -204,15 +222,18 @@ def test_pivot_entry_formula_exhaustive():
 
 
 def test_pivot_matches_ppt_exhaustive():
-    for g in all_simple_graphs(4):
+    # pivot is the ppt on {u, v}; the oracle toggles pairs across the classes
+    for g in all_loop_graphs(4):
         for u, v in g.edges:
-            assert pivot(g, u, v).adjacency_matrix() == g.adjacency_matrix().ppt({u, v})
+            if not g.has_loop(u) and not g.has_loop(v):
+                assert pivot(g, u, v) == pivot_by_classes(g, u, v)
 
 
 def test_loop_complement_matches_ppt_exhaustive():
-    for g in all_loop_graphs(3):
+    # the loop rule is the ppt on {u}; the oracle complements the neighbourhood
+    for g in all_loop_graphs(4):
         for u in sorted(g.loops):
-            assert loop_complement(g, u).adjacency_matrix() == g.adjacency_matrix().ppt({u})
+            assert loop_complement(g, u) == loop_rule_by_neighbourhood(g, u)
 
 
 def test_pivot_preserves_loops_elsewhere():

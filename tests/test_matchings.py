@@ -6,7 +6,6 @@ import pytest
 from pivotgraph import (
     Graph,
     InputError,
-    UnsupportedSizeError,
     enumerate_pairings,
     general_pm_parity,
     pivot,
@@ -19,6 +18,7 @@ from helpers import (
     all_simple_graphs,
     general_pm_bruteforce,
     pm_bruteforce,
+    pm_multiset_bruteforce,
     random_simple_graph,
 )
 
@@ -82,7 +82,7 @@ def test_pm_parity_equals_adjacency_determinant_small():
     rng = random.Random(12)
     for _ in range(50):
         g = random_simple_graph(rng, rng.randint(0, 8))
-        assert pm_parity(g) == g.adjacency_matrix().det()
+        assert g.adjacency_matrix().det() == pm_bruteforce(g)
 
 
 def test_general_pm_frozen_values():
@@ -107,7 +107,7 @@ def test_general_pm_matches_bruteforce_exhaustive():
 
 def test_general_pm_agrees_with_pm_on_simple_graphs():
     for g in all_simple_graphs(4):
-        assert general_pm_parity(g) == pm_parity(g)
+        assert general_pm_parity(g) == general_pm_bruteforce(g) == pm_bruteforce(g)
 
 
 def test_pm_multiset_base_cases():
@@ -124,10 +124,19 @@ def test_pm_multiset_validation():
         pm_multiset(g, ["a"])
     with pytest.raises(InputError):
         pm_multiset(g, ["a", "x"])
-    with pytest.raises(UnsupportedSizeError):
-        pm_multiset(g, ["a", "b"] * 8)
+    # no size cap: equal pairs cancel, leaving pm(a, b) = sim(a, b) = 1
+    assert pm_multiset(g, ["a", "b"] * 8) == 1
     with pytest.raises(InputError):
         pm_multiset(Graph(loops=["a"]), ["a", "a"])
+
+
+def test_pm_multiset_matches_bruteforce_random():
+    rng = random.Random(18)
+    for _ in range(80):
+        g = random_simple_graph(rng, 5)
+        # more arguments than vertices forces repeats
+        args = [rng.choice(g.vertices) for _ in range(rng.choice([0, 2, 4, 6, 8]))]
+        assert pm_multiset(g, args) == pm_multiset_bruteforce(g, args)
 
 
 def test_pm_multiset_permutation_invariant():
