@@ -27,6 +27,7 @@ from __future__ import annotations
 import re
 
 from .errors import InputError, ParseError
+from .gf2 import _ones
 from .graph import Graph
 from .sequences import LocalComp, Pivot
 
@@ -163,14 +164,16 @@ def _token(label) -> str:
 
 def serialize_graph(G: Graph) -> str:
     """Canonical edge-list document; round-trips through parse_graph."""
-    loops, edges = G.loops, G.edges
-    covered = set(loops)
-    for u, v in edges:
-        covered.add(u)
-        covered.add(v)
-    lines = [f"vertex {_token(v)}" for v in G.vertices if v not in covered]
-    lines += [f"loop {_token(v)}" for v in sorted(loops)]
-    lines += [f"{_token(u)} {_token(v)}" for u, v in edges]
+    rows = G.adjacency_matrix().rows
+    toks = [_token(v) for v in G.vertices]
+    # a vertex with an all-zero row has neither loop nor edge
+    lines = [f"vertex {t}" for t, r in zip(toks, rows) if not r]
+    lines += [f"loop {t}" for i, (t, r) in enumerate(zip(toks, rows)) if r >> i & 1]
+    lines += [
+        f"{t} {toks[i + 1 + j]}"
+        for i, (t, r) in enumerate(zip(toks, rows))
+        for j in _ones(r >> (i + 1))
+    ]
     if not lines:
         return ""
     return "\n".join(lines) + "\n"

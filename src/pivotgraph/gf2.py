@@ -64,6 +64,64 @@ def _eliminate(rows: list, cols: Iterable[int]) -> int:
     return rank
 
 
+def _pivot_out(rows: list, live: int, first: Optional[int] = None) -> tuple:
+    """Pivot the positions in the bitmask ``live`` out of ``rows``, in place.
+
+    Each step applies the principal pivot transform of one block of det 1
+    to every row: the lowest looped position left in ``live``, failing that
+    the lowest edge inside ``live`` (both ends loop-free, as no loop is
+    left).  The first block must contain ``first`` when it is given: alone
+    when looped, else with its lowest loop-free neighbour in ``live``.  The
+    transforms compose to the ppt on the positions taken.  Positions are
+    left over when det of the submatrix on ``live`` is 0, or when ``first``
+    finds no block.
+
+    Returns:
+        (blocks, left): the blocks taken, each a tuple of one position or
+        two ascending ones, and the bitmask of the positions left over.
+    """
+    # loop bits of the positions in ``live``; a 2x2 block keeps every loop
+    diag = 0
+    for p in _ones(live):
+        diag |= rows[p] & 1 << p
+    blocks = []
+    while live:
+        looped = diag & (live if first is None else 1 << first)
+        if looped:
+            low = looped & -looped
+            v = low.bit_length() - 1
+            # neighbours x of v gain row v off column v, toggling their loops
+            off = rows[v] ^ low
+            for x in _ones(off):
+                rows[x] ^= off
+            diag ^= off
+            live ^= low
+            blocks.append((v,))
+        else:
+            for u in _ones(live) if first is None else (first,):
+                nbrs = rows[u] & live & ~diag
+                if nbrs:
+                    break
+            else:
+                # no block: the rest is singular, or ``first`` has no partner
+                break
+            w = (nbrs & -nbrs).bit_length() - 1
+            # P = [[0, 1], [1, 0]] = P^-1: rows u and w trade their off-block
+            # parts, and a neighbour of u (of w) adds row w (row u) with the
+            # two pivot columns swapped
+            ru, rw = rows[u], rows[w]
+            both = 1 << u | 1 << w
+            for x in _ones(ru & ~both):
+                rows[x] ^= rw ^ 1 << w
+            for x in _ones(rw & ~both):
+                rows[x] ^= ru ^ 1 << u
+            rows[u], rows[w] = rw ^ both, ru ^ both
+            live ^= both
+            blocks.append((u, w) if u < w else (w, u))
+        first = None
+    return blocks, live
+
+
 def _walk_nonsingular(rows: Sequence[int], rest: int, chosen: int, leaf) -> int:
     """Count the non-empty sets T within ``rest`` with det(rows[T]) = 1.
 
@@ -257,12 +315,8 @@ class Gf2Matrix:
         Writing the matrix in blocks with P the principal submatrix on the
         pivot set and Q the rows of the pivot set restricted to the other
         columns, the result is ``[[P^-1, P^-1 Q], [(P^-1 Q)^T, S + Q^T P^-1 Q]]``
-        over GF(2).  The pivot rows, each tagged with its own bit above the
-        matrix order, are solved by Gauss-Jordan elimination on the pivot
-        columns: the solved row of pivot p holds row p of P^-1 Q in the other
-        columns and row p of P^-1 in its tag bits.  Every other row then adds
-        the solved rows of its neighbours in the pivot set, which clears its
-        pivot columns and leaves its new row, tags included.
+        over GF(2).  It is reached by pivoting the set out one looped
+        position or one loop-free edge at a time.
 
         Args:
             pivot_set: labels to pivot on; their principal submatrix must be
@@ -271,28 +325,14 @@ class Gf2Matrix:
         Raises:
             SingularPivotError: when det of the principal submatrix is 0.
         """
-        pos = self._subset_positions(pivot_set)
-        if not pos:
-            return self
-        n = self.order
-        rows = self._rows
-        solved = [rows[p] | 1 << (n + p) for p in pos]
-        if _eliminate(solved, pos) < len(pos):
+        live = 0
+        for p in self._subset_positions(pivot_set):
+            live |= 1 << p
+        rows = list(self._rows)
+        if _pivot_out(rows, live)[1]:
             raise SingularPivotError("principal submatrix on the pivot set is singular")
-        pivots = 0
-        for p in pos:
-            pivots |= 1 << p
-        new_rows = list(rows)
-        for p, row in zip(pos, solved):
-            for x in _ones(rows[p] & ~pivots):
-                new_rows[x] ^= row
-            new_rows[p] = row ^ (1 << p)
-        # fold the tags (rows of P^-1) onto the pivot columns, left zero above
-        low = (1 << n) - 1
         # the ppt of a symmetric matrix is symmetric, so skip the validation
-        return Gf2Matrix._trusted(
-            self._labels, tuple((r & low) | (r >> n) for r in new_rows)
-        )
+        return Gf2Matrix._trusted(self._labels, tuple(rows))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Gf2Matrix):

@@ -20,6 +20,8 @@ __all__ = [
 
 Vertex = Hashable
 
+ISOMORPHISM_CAP = 8
+
 
 class Graph:
     """Immutable undirected graph; loops are allowed and kept separate from edges.
@@ -262,14 +264,14 @@ def overlap_graph(word) -> Graph:
     return Graph(toks, edges)
 
 
-def is_isomorphic_small(G: Graph, H: Graph, max_vertices: int = 8) -> bool:
-    """Brute-force isomorphism test for graphs with at most ``max_vertices``."""
+def is_isomorphic_small(G: Graph, H: Graph) -> bool:
+    """Brute-force isomorphism test, for at most ``ISOMORPHISM_CAP`` vertices."""
     n = len(G.vertices)
     if n != len(H.vertices):
         return False
-    if n > max_vertices:
+    if n > ISOMORPHISM_CAP:
         raise UnsupportedSizeError(
-            f"isomorphism test supports at most {max_vertices} vertices, got {n}"
+            f"isomorphism test supports at most {ISOMORPHISM_CAP} vertices, got {n}"
         )
     g_edges, g_loops, h_loops = G.edges, G.loops, H.loops
     if len(g_edges) != len(H.edges) or len(g_loops) != len(h_loops):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Hashable, Optional, Union
 
 from .errors import InputError, NotApplicableError, SingularPivotError, UnsupportedSizeError
-from .gf2 import _walk_nonsingular
+from .gf2 import _pivot_out, _walk_nonsingular
 from .graph import Graph, loop_complement, pivot
 
 __all__ = [
@@ -99,36 +99,12 @@ def is_reduced(seq: Iterable) -> bool:
     return True
 
 
-def _op_applicable(H: Graph, op) -> bool:
-    if isinstance(op, Pivot):
-        return (
-            not H.has_loop(op.u)
-            and not H.has_loop(op.v)
-            and H.has_edge(op.u, op.v)
-        )
-    return H.has_loop(op.u)
-
-
-def _step(H: Graph, op) -> Graph:
-    if isinstance(op, Pivot):
-        return pivot(H, op.u, op.v)
-    return loop_complement(H, op.u)
-
-
-def _op_text(op) -> str:
-    if isinstance(op, Pivot):
-        return f"[{op.u} {op.v}]"
-    return f"[{op.u}]"
-
-
 def is_applicable(G: Graph, seq: Iterable) -> bool:
     """True when every operation is applicable at its turn, left to right."""
-    ops = _validated(G, seq)
-    H = G
-    for op in ops:
-        if not _op_applicable(H, op):
-            return False
-        H = _step(H, op)
+    try:
+        apply(G, seq)
+    except NotApplicableError:
+        return False
     return True
 
 
@@ -137,11 +113,13 @@ def apply(G: Graph, seq: Iterable) -> Graph:
     ops = _validated(G, seq)
     H = G
     for i, op in enumerate(ops):
-        if not _op_applicable(H, op):
+        try:
+            H = pivot(H, op.u, op.v) if isinstance(op, Pivot) else loop_complement(H, op.u)
+        except NotApplicableError:
+            text = f"{op.u} {op.v}" if isinstance(op, Pivot) else op.u
             raise NotApplicableError(
-                f"operation {i + 1} of {len(ops)} ({_op_text(op)}) is not applicable"
-            )
-        H = _step(H, op)
+                f"operation {i + 1} of {len(ops)} ([{text}]) is not applicable"
+            ) from None
     return H
 
 
@@ -161,7 +139,7 @@ def apply_support(G: Graph, subset: Iterable) -> Graph:
     """Result of any applicable sequence whose support is ``subset``.
 
     This is the principal pivot transform A*S of the adjacency matrix A on
-    S, read back as a graph: one block elimination over the whole matrix.
+    S, read back as a graph.
 
     Raises:
         NotApplicableError: when det(A[S]) = 0, i.e. no such sequence exists.
@@ -173,34 +151,6 @@ def apply_support(G: Graph, subset: Iterable) -> Graph:
         return Graph.from_adjacency_matrix(G.adjacency_matrix().ppt(S))
     except SingularPivotError:
         raise NotApplicableError("no applicable sequence has this support") from None
-
-
-def _pick_op(H: Graph, remaining: set, anchor=None):
-    if anchor is not None:
-        if H.has_loop(anchor):
-            return LocalComp(anchor)
-        partners = sorted(
-            w
-            for w in H.neighbors(anchor)
-            if w in remaining and not H.has_loop(w)
-        )
-        if partners:
-            w = partners[0]
-            return Pivot(*((anchor, w) if anchor < w else (w, anchor)))
-        return None
-    looped = sorted(v for v in remaining if H.has_loop(v))
-    if looped:
-        return LocalComp(looped[0])
-    # no loops left in the remaining set, so any edge inside it qualifies
-    edges = sorted(
-        (u, w)
-        for u in remaining
-        for w in H.neighbors(u) & remaining
-        if u < w
-    )
-    if edges:
-        return Pivot(*edges[0])
-    return None
 
 
 def synthesize_reduced(G: Graph, subset: Iterable, anchor=None) -> tuple:
@@ -217,25 +167,26 @@ def synthesize_reduced(G: Graph, subset: Iterable, anchor=None) -> tuple:
             and no applicable operation touches it.
     """
     S = frozenset(subset)
+    live = 0
     for x in S:
-        G._require_vertex(x)
+        live |= 1 << G._require_vertex(x)
     if anchor is not None and anchor not in S:
         raise InputError(f"anchor {anchor!r} is not in the support set")
-    if G.adjacency_matrix().principal_submatrix(S).det() == 0:
-        raise NotApplicableError("no applicable sequence has this support")
-    ops = []
-    H = G
-    remaining = set(S)
-    while remaining:
-        op = _pick_op(H, remaining, anchor if not ops else None)
-        if op is None:
+    A = G.adjacency_matrix()
+    first = None if anchor is None else G._require_vertex(anchor)
+    blocks, left = _pivot_out(list(A.rows), live, first)
+    if left:
+        # after a first block (det 1) is taken, a stop means det(A[S]) = 0
+        if anchor is not None and A.principal_submatrix(S).det():
             raise NotApplicableError(
                 f"no applicable operation touches the anchor {anchor!r}"
             )
-        H = _step(H, op)
-        remaining -= op.touched
-        ops.append(op)
-    return tuple(ops)
+        raise NotApplicableError("no applicable sequence has this support")
+    labels = A.labels
+    return tuple(
+        LocalComp(labels[b[0]]) if len(b) == 1 else Pivot(labels[b[0]], labels[b[1]])
+        for b in blocks
+    )
 
 
 def reduce_to_empty(G: Graph) -> Optional[tuple]:
@@ -254,7 +205,7 @@ def _graph_key(g: Graph):
     return (g.edges, tuple(sorted(g.loops)))
 
 
-def orbit(G: Graph, max_vertices: int = ORBIT_CAP) -> list:
+def orbit(G: Graph) -> list:
     """All graphs reachable by applicable sequences, G included.
 
     One representative per labeled graph, sorted canonically.  Reachable
@@ -263,9 +214,9 @@ def orbit(G: Graph, max_vertices: int = ORBIT_CAP) -> list:
     each result from one ppt.
     """
     n = len(G.vertices)
-    if n > max_vertices:
+    if n > ORBIT_CAP:
         raise UnsupportedSizeError(
-            f"orbit supports at most {max_vertices} vertices, got {n}"
+            f"orbit supports at most {ORBIT_CAP} vertices, got {n}"
         )
     A = G.adjacency_matrix()
     verts = G.vertices
@@ -279,7 +230,7 @@ def orbit(G: Graph, max_vertices: int = ORBIT_CAP) -> list:
     return sorted(seen, key=_graph_key)
 
 
-def count_applicable_supports(G: Graph, max_vertices: int = COUNT_CAP) -> int:
+def count_applicable_supports(G: Graph) -> int:
     """Number of subsets that are supports of applicable sequences.
 
     Counts S with det(A[S]) = 1; the empty set always counts.  The minors
@@ -289,9 +240,9 @@ def count_applicable_supports(G: Graph, max_vertices: int = COUNT_CAP) -> int:
     nothing.
     """
     n = len(G.vertices)
-    if n > max_vertices:
+    if n > COUNT_CAP:
         raise UnsupportedSizeError(
-            f"count_applicable_supports supports at most {max_vertices} vertices, got {n}"
+            f"count_applicable_supports supports at most {COUNT_CAP} vertices, got {n}"
         )
     return 1 + _walk_nonsingular(G.adjacency_matrix().rows, (1 << n) - 1, 0, None)
 

@@ -186,6 +186,49 @@ def loop_rule_by_neighbourhood(G, u):
     return _toggle_pairs(G, combinations(nbrs, 2), G.loops ^ nbrs)
 
 
+def greedy_reduced_sequence(G, subset, anchor=None):
+    """The greedy reduced sequence with support ``subset``, stepped on edge lists.
+
+    Each step takes the smallest looped vertex left, else the smallest edge
+    inside what is left; with ``anchor`` the first operation is the loop
+    rule at the anchor, else a pivot with its smallest loop-free neighbour
+    left.  Each operation is applied by ``pivot_by_classes`` or
+    ``loop_rule_by_neighbourhood``.  Returns None when no operation is left
+    to take.
+    """
+    H = G
+    remaining = set(subset)
+    ops = []
+    while remaining:
+        loops = H.loops
+        adj = _neighbour_sets(H)
+        if anchor is not None and not ops:
+            partners = sorted(w for w in adj[anchor] & remaining if w not in loops)
+            if anchor in loops:
+                op = LocalComp(anchor)
+            elif partners:
+                op = Pivot(*sorted((anchor, partners[0])))
+            else:
+                return None
+        else:
+            looped = sorted(remaining & loops)
+            # with no loop left in the remaining set, any edge inside it is a pivot
+            edges = sorted((u, w) for u in remaining for w in adj[u] & remaining if u < w)
+            if looped:
+                op = LocalComp(looped[0])
+            elif edges:
+                op = Pivot(*edges[0])
+            else:
+                return None
+        if isinstance(op, LocalComp):
+            H = loop_rule_by_neighbourhood(H, op.u)
+        else:
+            H = pivot_by_classes(H, op.u, op.v)
+        remaining -= op.touched
+        ops.append(op)
+    return tuple(ops)
+
+
 def applicable_ops(G):
     loops = G.loops
     ops = [LocalComp(v) for v in sorted(loops)]

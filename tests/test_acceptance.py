@@ -37,6 +37,7 @@ from helpers import (
     all_loop_graphs,
     all_simple_graphs,
     all_symmetric_matrices,
+    apply_support_entrywise,
     general_pm_bruteforce,
     pm_bruteforce,
     random_applicable_sequence,
@@ -166,7 +167,7 @@ def test_criterion_05_reduced_synthesis():
                     with pytest.raises(NotApplicableError):
                         synthesize_reduced(g, S)
                     continue
-                expected = apply_support(g, S)
+                expected = apply_support_entrywise(g, S)
                 seq = synthesize_reduced(g, S)
                 assert is_reduced(seq)
                 assert support(seq) == S

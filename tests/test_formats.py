@@ -1,7 +1,9 @@
 import random
+from itertools import combinations
 
 import networkx as nx
 import pytest
+from hypothesis import given, strategies as st
 
 from pivotgraph import (
     Graph,
@@ -40,6 +42,8 @@ def test_parse_edge_list_empty_document():
 def test_serialize_canonical_order():
     g = Graph(["d"], [("b", "a"), ("b", "c")], ["c"])
     assert serialize_graph(g) == "vertex d\nloop c\na b\nb c\n"
+    # a vertex with a loop and no edge is no isolated vertex
+    assert serialize_graph(Graph(["c"], [("b", "d")], ["a"])) == "vertex c\nloop a\nb d\n"
     assert serialize_graph(Graph()) == ""
 
 
@@ -77,8 +81,29 @@ def test_edge_list_errors_carry_line_numbers(doc, line, fragment):
 
 def test_serialize_rejects_unwritable_labels():
     for bad in ("", "a b", "x#y", "loop", "vertex"):
-        with pytest.raises(InputError):
-            serialize_graph(Graph([bad]))
+        # isolated, only in an edge, only as a loop
+        for g in (Graph([bad]), Graph(edges=[("ok", bad)]), Graph(loops=[bad])):
+            with pytest.raises(InputError) as err:
+                serialize_graph(g)
+            assert repr(bad) in str(err.value)
+
+
+@st.composite
+def token_graphs(draw, max_n=8):
+    names = draw(st.lists(st.text("abXY019_-.", min_size=1, max_size=3), unique=True, max_size=max_n))
+    pairs = list(combinations(names, 2))
+    emask = draw(st.integers(0, (1 << len(pairs)) - 1))
+    lmask = draw(st.integers(0, (1 << len(names)) - 1))
+    return Graph(
+        names,
+        [e for i, e in enumerate(pairs) if (emask >> i) & 1],
+        [v for i, v in enumerate(names) if (lmask >> i) & 1],
+    )
+
+
+@given(token_graphs())
+def test_edge_list_round_trip_property(g):
+    assert parse_graph(serialize_graph(g)) == g
 
 
 def test_parse_graph_unknown_format():

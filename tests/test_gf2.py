@@ -131,6 +131,17 @@ def test_ppt_singular_raises():
         K3.ppt({"x"})
 
 
+def test_ppt_raises_exactly_on_singular_pivot_sets_exhaustive():
+    for m in all_symmetric_matrices(4):
+        for mask in range(1 << 4):
+            S = [i for i in range(4) if (mask >> i) & 1]
+            if det_bruteforce(m.principal_submatrix(S)):
+                m.ppt(S)
+            else:
+                with pytest.raises(SingularPivotError):
+                    m.ppt(S)
+
+
 def test_ppt_involution_random():
     rng = random.Random(97)
     for _ in range(200):

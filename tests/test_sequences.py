@@ -31,6 +31,8 @@ from helpers import (
     all_simple_graphs,
     apply_support_entrywise,
     count_supports_bruteforce,
+    greedy_reduced_sequence,
+    minor_bruteforce,
     orbit_bruteforce,
     pm_bruteforce,
     random_applicable_sequence,
@@ -86,6 +88,25 @@ def test_apply_reports_failing_index():
     assert "operation 2" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "seq,message",
+    [
+        # after the pivot on ab, bc is no longer an edge
+        ([Pivot("a", "b"), Pivot("b", "c")], "operation 2 of 2 ([b c]) is not applicable"),
+        ([LocalComp("a")], "operation 1 of 1 ([a]) is not applicable"),
+        ([Pivot("a", "b"), Pivot("a", "c"), Pivot("a", "b")],
+         "operation 3 of 3 ([a b]) is not applicable"),
+        ([Pivot("a", "c")], "operation 1 of 1 ([a c]) is not applicable"),
+    ],
+)
+def test_apply_error_message(seq, message):
+    g = Graph(edges=[("a", "b"), ("b", "c")])
+    with pytest.raises(NotApplicableError) as err:
+        apply(g, seq)
+    assert str(err.value) == message
+    assert not is_applicable(g, seq)
+
+
 def test_sequence_order_sensitivity_exhaustive_small():
     # an applicable sequence's result depends only on its support
     for g in all_simple_graphs(4):
@@ -96,7 +117,7 @@ def test_sequence_order_sensitivity_exhaustive_small():
             assert is_reduced(seq)
             assert support(seq) == s
             assert is_applicable(g, seq)
-            assert apply(g, seq) == apply_support(g, s)
+            assert apply(g, seq) == apply_support_entrywise(g, s)
 
 
 def test_support_applicability_is_determinant():
@@ -175,7 +196,7 @@ def test_synthesize_reduced_loop_graphs_exhaustive_small():
                 continue
             seq = synthesize_reduced(g, s)
             assert is_reduced(seq) and support(seq) == s
-            assert apply(g, seq) == apply_support(g, s)
+            assert apply(g, seq) == apply_support_entrywise(g, s)
 
 
 def test_synthesize_reduced_is_deterministic_smallest_first():
@@ -199,11 +220,12 @@ def test_synthesize_anchored_simple_graphs():
         for s in subsets(g.vertices):
             if not is_support_applicable(g, s):
                 continue
+            expected = apply_support_entrywise(g, s)
             for anchor in sorted(s):
                 seq = synthesize_reduced(g, s, anchor=anchor)
                 assert anchor in seq[0].touched
                 assert is_reduced(seq) and support(seq) == s
-                assert apply(g, seq) == apply_support(g, s)
+                assert apply(g, seq) == expected
 
 
 def test_synthesize_anchored_loop_graph_can_fail():
@@ -300,6 +322,38 @@ def loop_graphs(draw, max_n):
         [e for i, e in enumerate(pairs) if (emask >> i) & 1],
         [v for v in range(n) if (lmask >> v) & 1],
     )
+
+
+def _check_synthesis_against_greedy(g, s, anchor):
+    expected = greedy_reduced_sequence(g, s, anchor)
+    if expected is not None:
+        assert synthesize_reduced(g, s, anchor=anchor) == expected
+        return
+    with pytest.raises(NotApplicableError) as err:
+        synthesize_reduced(g, s, anchor=anchor)
+    if minor_bruteforce(g, s):
+        assert str(err.value) == f"no applicable operation touches the anchor {anchor!r}"
+    else:
+        assert str(err.value) == "no applicable sequence has this support"
+
+
+def test_synthesize_reduced_matches_greedy_oracle_all_loop_graphs_4():
+    for g in all_loop_graphs(4):
+        for s in subsets(g.vertices):
+            for anchor in (None, *sorted(s)):
+                _check_synthesis_against_greedy(g, s, anchor)
+
+
+@st.composite
+def graph_support_anchor(draw, max_n):
+    g = draw(loop_graphs(max_n))
+    s = draw(st.frozensets(st.sampled_from(g.vertices))) if g.vertices else frozenset()
+    return g, s, draw(st.sampled_from((None, *sorted(s))))
+
+
+@given(graph_support_anchor(8))
+def test_synthesize_reduced_matches_greedy_oracle_random(case):
+    _check_synthesis_against_greedy(*case)
 
 
 def test_count_and_orbit_match_oracles_on_all_loop_graphs_4():
