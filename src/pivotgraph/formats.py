@@ -54,13 +54,6 @@ def parse_graph(text: str, fmt: str = "edge-list") -> Graph:
     raise InputError(f"unknown graph format: {fmt!r}")
 
 
-def _vertex_id(tok: str, lineno: int) -> str:
-    # keywords in vertex position would not survive re-serialization
-    if tok in _KEYWORDS:
-        raise ParseError(f"keyword {tok!r} cannot name a vertex", line=lineno)
-    return tok
-
-
 def _parse_edge_list(text: str) -> Graph:
     vertices = set()
     edges = set()
@@ -70,33 +63,35 @@ def _parse_edge_list(text: str) -> Graph:
         tokens = line.split()
         if not tokens:
             continue
-        if tokens[0] in _KEYWORDS:
-            if len(tokens) != 2:
+        if len(tokens) != 2:
+            if tokens[0] in _KEYWORDS:
                 raise ParseError(
                     f"'{tokens[0]}' takes exactly one vertex", line=lineno
                 )
-            v = _vertex_id(tokens[1], lineno)
-            if tokens[0] == "vertex":
-                vertices.add(v)
-            else:
-                if v in loops:
-                    raise ParseError(f"duplicate loop on {v!r}", line=lineno)
-                loops.add(v)
-            continue
-        if len(tokens) != 2:
             raise ParseError(
                 f"expected 'u v', 'loop v', or 'vertex v', got {len(tokens)} tokens",
                 line=lineno,
             )
-        u, v = (_vertex_id(t, lineno) for t in tokens)
-        if u == v:
-            raise ParseError(
-                f"self-edge {u!r} {v!r}; use 'loop {u}'", line=lineno
-            )
-        key = (u, v) if u < v else (v, u)
-        if key in edges:
-            raise ParseError(f"duplicate edge {u!r} {v!r}", line=lineno)
-        edges.add(key)
+        u, v = tokens
+        # keywords in vertex position would not survive re-serialization; a
+        # keyword first is a statement, so only v can be a misplaced one
+        if v in _KEYWORDS:
+            raise ParseError(f"keyword {v!r} cannot name a vertex", line=lineno)
+        if u == "vertex":
+            vertices.add(v)
+        elif u == "loop":
+            if v in loops:
+                raise ParseError(f"duplicate loop on {v!r}", line=lineno)
+            loops.add(v)
+        else:
+            if u == v:
+                raise ParseError(
+                    f"self-edge {u!r} {v!r}; use 'loop {u}'", line=lineno
+                )
+            key = (u, v) if u < v else (v, u)
+            if key in edges:
+                raise ParseError(f"duplicate edge {u!r} {v!r}", line=lineno)
+            edges.add(key)
     return Graph(vertices, edges, loops)
 
 

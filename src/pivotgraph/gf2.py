@@ -34,36 +34,6 @@ def _ones(bits: int) -> Iterator[int]:
         yield low.bit_length() - 1
 
 
-def _eliminate(rows: list, cols: Iterable[int]) -> int:
-    """Gauss-Jordan elimination of ``rows`` in place on the bit columns ``cols``.
-
-    For each column in turn, the first row at or below the rank with that
-    bit set is the pivot: it moves up to position rank and is added to every
-    other row holding the bit.  Afterwards rows[:rank] are the pivot rows in
-    column order and rows[rank:] are zero on ``cols``.  Bits outside
-    ``cols``, such as tags placed above the matrix order, ride along.
-
-    Returns:
-        the rank of ``rows`` restricted to ``cols``.
-    """
-    rank = 0
-    for col in cols:
-        bit = 1 << col
-        for i in range(rank, len(rows)):
-            if rows[i] & bit:
-                break
-        else:
-            continue
-        prow = rows[i]
-        rows[i] = rows[rank]
-        rows[rank] = prow
-        for j, r in enumerate(rows):
-            if r & bit and j != rank:
-                rows[j] = r ^ prow
-        rank += 1
-    return rank
-
-
 def _pivot_out(rows: list, live: int, first: Optional[int] = None) -> tuple:
     """Pivot the positions in the bitmask ``live`` out of ``rows``, in place.
 
@@ -90,10 +60,14 @@ def _pivot_out(rows: list, live: int, first: Optional[int] = None) -> tuple:
         if looped:
             low = looped & -looped
             v = low.bit_length() - 1
-            # neighbours x of v gain row v off column v, toggling their loops
-            off = rows[v] ^ low
-            for x in _ones(off):
-                rows[x] ^= off
+            # neighbours x of v gain row v off column v, toggling their loops;
+            # row v is restored after the scan
+            rv = rows[v]
+            off = rv ^ low
+            for x, r in enumerate(rows):
+                if r & low:
+                    rows[x] = r ^ off
+            rows[v] = rv
             diag ^= off
             live ^= low
             blocks.append((v,))
@@ -108,13 +82,19 @@ def _pivot_out(rows: list, live: int, first: Optional[int] = None) -> tuple:
             w = (nbrs & -nbrs).bit_length() - 1
             # P = [[0, 1], [1, 0]] = P^-1: rows u and w trade their off-block
             # parts, and a neighbour of u (of w) adds row w (row u) with the
-            # two pivot columns swapped
+            # two pivot columns swapped; rows u and w are set after the scan
             ru, rw = rows[u], rows[w]
-            both = 1 << u | 1 << w
-            for x in _ones(ru & ~both):
-                rows[x] ^= rw ^ 1 << w
-            for x in _ones(rw & ~both):
-                rows[x] ^= ru ^ 1 << u
+            bu, bw = 1 << u, 1 << w
+            both = bu | bw
+            add_w, add_u = rw ^ bw, ru ^ bu
+            for x, r in enumerate(rows):
+                hit = r & both
+                if hit:
+                    if hit & bu:
+                        r ^= add_w
+                    if hit & bw:
+                        r ^= add_u
+                    rows[x] = r
             rows[u], rows[w] = rw ^ both, ru ^ both
             live ^= both
             blocks.append((u, w) if u < w else (w, u))
@@ -287,8 +267,12 @@ class Gf2Matrix:
         return Gf2Matrix._trusted(labels, rows)
 
     def det(self) -> int:
-        """Determinant over GF(2) by elimination; 1 for the empty matrix."""
-        return 1 if _eliminate(list(self._rows), range(self.order)) == self.order else 0
+        """Determinant over GF(2); 1 for the empty matrix.
+
+        The pivot-out walk over every position takes them all exactly when
+        the determinant is 1.
+        """
+        return 0 if _pivot_out(list(self._rows), (1 << self.order) - 1)[1] else 1
 
     def kernel_witness(self) -> Optional[frozenset]:
         """A non-empty label set whose rows sum to zero, or None if det = 1.
@@ -299,15 +283,16 @@ class Gf2Matrix:
         Returns:
             frozenset of labels, or None when the matrix is nonsingular.
         """
-        n = self.order
-        # row i carries the tag bit n + i, recording which rows were summed
-        rows = [r | 1 << (n + i) for i, r in enumerate(self._rows)]
-        rank = _eliminate(rows, range(n))
-        if rank == n:
+        rows = list(self._rows)
+        left = _pivot_out(rows, (1 << self.order) - 1)[1]
+        if not left:
             return None
-        # row `rank` is fully eliminated; its tag records which original rows
-        # sum to zero, and row operations keep tags invertible, hence non-empty
-        return frozenset(self._labels[i] for i in _ones(rows[rank] >> n))
+        # With T the positions taken and L those left, the walk stopped
+        # because (A*T)[L, L] = 0: no loop and no edge is left in L.  For x in
+        # L, z = (A[T]^-1 A[T, x], e_x) then satisfies Az = 0, and the T part
+        # of z is row x of A*T, whose L part is 0 and whose loop bit is 0.
+        x = (left & -left).bit_length() - 1
+        return frozenset(self._labels[i] for i in _ones(rows[x] | 1 << x))
 
     def ppt(self, pivot_set: Iterable[Label]) -> "Gf2Matrix":
         """Principal pivot transform on ``pivot_set``.

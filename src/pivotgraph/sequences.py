@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Hashable, Optional, Union
 
 from .errors import InputError, NotApplicableError, SingularPivotError, UnsupportedSizeError
-from .gf2 import _pivot_out, _walk_nonsingular
+from .gf2 import Gf2Matrix, _ones, _pivot_out, _walk_nonsingular
 from .graph import Graph, loop_complement, pivot
 
 __all__ = [
@@ -148,7 +148,8 @@ def apply_support(G: Graph, subset: Iterable) -> Graph:
     for x in S:
         G._require_vertex(x)
     try:
-        return Graph.from_adjacency_matrix(G.adjacency_matrix().ppt(S))
+        # the ppt keeps G's sorted labels
+        return Graph._of(G.adjacency_matrix().ppt(S))
     except SingularPivotError:
         raise NotApplicableError("no applicable sequence has this support") from None
 
@@ -196,13 +197,10 @@ def reduce_to_empty(G: Graph) -> Optional[tuple]:
     (drop the touched vertices after each operation) it rewrites G to the
     empty graph.
     """
-    if G.adjacency_matrix().det() == 0:
+    try:
+        return synthesize_reduced(G, G.vertices)
+    except NotApplicableError:
         return None
-    return synthesize_reduced(G, G.vertices)
-
-
-def _graph_key(g: Graph):
-    return (g.edges, tuple(sorted(g.loops)))
 
 
 def orbit(G: Graph) -> list:
@@ -211,7 +209,7 @@ def orbit(G: Graph) -> list:
     One representative per labeled graph, sorted canonically.  Reachable
     results are exactly the ppts A*S over the subsets S with det(A[S]) = 1;
     those subsets come from one walk of recursive Schur complements, and
-    each result from one ppt.
+    each result from one pivot-out walk on S.
     """
     n = len(G.vertices)
     if n > ORBIT_CAP:
@@ -219,15 +217,22 @@ def orbit(G: Graph) -> list:
             f"orbit supports at most {ORBIT_CAP} vertices, got {n}"
         )
     A = G.adjacency_matrix()
-    verts = G.vertices
-    seen = {G}
+    seen = {A.rows}
 
     def reach(mask: int) -> None:
-        S = [verts[i] for i in range(n) if (mask >> i) & 1]
-        seen.add(Graph.from_adjacency_matrix(A.ppt(S)))
+        rows = list(A.rows)
+        _pivot_out(rows, mask)
+        seen.add(tuple(rows))
+
+    def key(rows: tuple) -> tuple:
+        # the labels are sorted and distinct, so this orders like
+        # (G.edges, sorted(G.loops)): each edge ij (bits j above i) as
+        # i*n + j, then the loop positions
+        edges = tuple(i * n + j for i, r in enumerate(rows) for j in _ones(r & -(2 << i)))
+        return edges, tuple(i for i, r in enumerate(rows) if r >> i & 1)
 
     _walk_nonsingular(A.rows, (1 << n) - 1, 0, reach)
-    return sorted(seen, key=_graph_key)
+    return [Graph._of(Gf2Matrix._trusted(A.labels, rows)) for rows in sorted(seen, key=key)]
 
 
 def count_applicable_supports(G: Graph) -> int:

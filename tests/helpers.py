@@ -1,8 +1,8 @@
 """Shared oracles and generators for the test suite.
 
-Oracles here are deliberately naive: determinants by permutation expansion,
-matching parities by walking pairings, general matchings by brute subset
-cover.  They never call the elimination-based code paths they check.
+Oracles here are deliberately naive: determinants by permutation expansion
+or by a Gauss-Jordan rank, matching parities by walking pairings, general
+matchings by brute subset cover.  They never call the code paths they check.
 """
 
 from itertools import combinations, permutations
@@ -53,6 +53,32 @@ def det_bruteforce(m):
         if all(dense[i][perm[i]] for i in range(n)):
             total ^= 1
     return total
+
+
+def rank_by_elimination(m):
+    """Rank over GF(2) by Gauss-Jordan elimination on the bit rows.
+
+    For each column in turn, the first row at or below the rank with that
+    bit set moves up to position rank and is added to every other row
+    holding the bit.
+    """
+    rows = list(m.rows)
+    rank = 0
+    for col in range(m.order):
+        bit = 1 << col
+        for i in range(rank, len(rows)):
+            if rows[i] & bit:
+                break
+        else:
+            continue
+        prow = rows[i]
+        rows[i] = rows[rank]
+        rows[rank] = prow
+        for j, r in enumerate(rows):
+            if r & bit and j != rank:
+                rows[j] = r ^ prow
+        rank += 1
+    return rank
 
 
 def minor_bruteforce(G, subset):

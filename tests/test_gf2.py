@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from pivotgraph import Gf2Matrix, InputError, SingularPivotError
-from helpers import all_symmetric_matrices, det_bruteforce
+from helpers import all_symmetric_matrices, det_bruteforce, rank_by_elimination
 
 
 def mat(labels, dense):
@@ -238,7 +238,7 @@ def test_kernel_witness_nonsingular_is_none():
 
 
 def test_kernel_witness_frozen_examples():
-    # K3 rows all sum to zero; the elimination tags find the full set
+    # K3 rows all sum to zero, and the walk finds the full set
     assert K3.kernel_witness() == frozenset("abc")
     # 4-cycle plus one chord: the two non-adjacent vertices form a witness
     chorded = mat("abcd", [
@@ -249,6 +249,17 @@ def test_kernel_witness_frozen_examples():
     ])
     w = chorded.kernel_witness()
     assert w == frozenset("ac")
+    # star with centre d: pivoting a-d out leaves b and c, and row b of the
+    # result gives {a, b}; Gauss-Jordan on tagged rows gave {b, c}
+    star = mat("abcd", [
+        [0, 0, 0, 1],
+        [0, 0, 0, 1],
+        [0, 0, 0, 1],
+        [1, 1, 1, 0],
+    ])
+    w = star.kernel_witness()
+    assert w == frozenset("ab")
+    assert all(sum(star.entry(v, s) for s in w) % 2 == 0 for v in star.labels)
 
 
 def test_kernel_witness_exhaustive_even_adjacency():
@@ -261,3 +272,31 @@ def test_kernel_witness_exhaustive_even_adjacency():
                 assert w is not None and len(w) > 0
                 for v in m.labels:
                     assert sum(m.entry(v, s) for s in w) % 2 == 0
+
+
+@st.composite
+def symmetric_matrices(draw, max_n=40):
+    n = draw(st.integers(0, max_n))
+    # dense, or sparse enough that larger kernels show up
+    p = draw(st.sampled_from((0.5, 0.1)))
+    rng = draw(st.randoms(use_true_random=False))
+    rows = [0] * n
+    for i in range(n):
+        for j in range(i, n):
+            if rng.random() < p:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    return Gf2Matrix(range(n), rows)
+
+
+@given(symmetric_matrices())
+def test_det_and_kernel_witness_match_elimination_rank(m):
+    full = rank_by_elimination(m) == m.order
+    assert m.det() == full
+    w = m.kernel_witness()
+    if full:
+        assert w is None
+    else:
+        assert w
+        for v in m.labels:
+            assert sum(m.entry(v, s) for s in w) % 2 == 0
