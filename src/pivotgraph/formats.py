@@ -25,9 +25,11 @@ empty set.
 from __future__ import annotations
 
 import re
+from itertools import chain
+from operator import itemgetter
 
 from .errors import InputError, ParseError
-from .gf2 import _ones
+from .gf2 import Gf2Matrix, _ones
 from .graph import Graph
 from .sequences import LocalComp, Pivot
 
@@ -55,44 +57,67 @@ def parse_graph(text: str, fmt: str = "edge-list") -> Graph:
 
 
 def _parse_edge_list(text: str) -> Graph:
-    vertices = set()
-    edges = set()
+    declared = []
     loops = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
-        tokens = line.split()
-        if not tokens:
-            continue
-        if len(tokens) != 2:
-            if tokens[0] in _KEYWORDS:
+    edges = []  # token pairs of the edge lines, in line order
+    edge_lines = []
+    fault = None
+    try:
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            tokens = raw.partition("#")[0].split()
+            if not tokens:
+                continue
+            if len(tokens) != 2:
+                if tokens[0] in _KEYWORDS:
+                    raise ParseError(
+                        f"'{tokens[0]}' takes exactly one vertex", line=lineno
+                    )
                 raise ParseError(
-                    f"'{tokens[0]}' takes exactly one vertex", line=lineno
+                    f"expected 'u v', 'loop v', or 'vertex v', got {len(tokens)} tokens",
+                    line=lineno,
                 )
-            raise ParseError(
-                f"expected 'u v', 'loop v', or 'vertex v', got {len(tokens)} tokens",
-                line=lineno,
-            )
-        u, v = tokens
-        # keywords in vertex position would not survive re-serialization; a
-        # keyword first is a statement, so only v can be a misplaced one
-        if v in _KEYWORDS:
-            raise ParseError(f"keyword {v!r} cannot name a vertex", line=lineno)
-        if u == "vertex":
-            vertices.add(v)
-        elif u == "loop":
-            if v in loops:
-                raise ParseError(f"duplicate loop on {v!r}", line=lineno)
-            loops.add(v)
-        else:
-            if u == v:
-                raise ParseError(
-                    f"self-edge {u!r} {v!r}; use 'loop {u}'", line=lineno
-                )
-            key = (u, v) if u < v else (v, u)
-            if key in edges:
-                raise ParseError(f"duplicate edge {u!r} {v!r}", line=lineno)
-            edges.add(key)
-    return Graph(vertices, edges, loops)
+            u, v = tokens
+            # keywords in vertex position would not survive re-serialization; a
+            # keyword first is a statement, so only v can be a misplaced one
+            if v in _KEYWORDS:
+                raise ParseError(f"keyword {v!r} cannot name a vertex", line=lineno)
+            if u == "vertex":
+                declared.append(v)
+            elif u == "loop":
+                if v in loops:
+                    raise ParseError(f"duplicate loop on {v!r}", line=lineno)
+                loops.add(v)
+            elif u == v:
+                raise ParseError(f"self-edge {u!r} {v!r}; use 'loop {u}'", line=lineno)
+            else:
+                edges.append(tokens)
+                edge_lines.append(lineno)
+    except ParseError as err:
+        # a duplicate edge before this line is found below and comes first
+        fault = err
+    labels = tuple(sorted({*declared, *loops, *chain.from_iterable(edges)}))
+    n = len(labels)
+    pos = dict(zip(labels, range(n)))
+    bit = [1 << i for i in range(n)]
+    rows = [0] * n
+    for k, (u, v) in enumerate(edges):
+        i = pos[u]
+        j = pos[v]
+        if rows[i] & bit[j]:
+            raise ParseError(f"duplicate edge {u!r} {v!r}", line=edge_lines[k])
+        rows[i] |= bit[j]
+        rows[j] |= bit[i]
+    if fault is not None:
+        raise fault
+    for v in loops:
+        rows[pos[v]] |= bit[pos[v]]
+    return Graph._of(Gf2Matrix._trusted(labels, tuple(rows)))
+
+
+# graph6 bytes are 63..126; each carries six bits, high bit first
+_G6_RANGE = bytes(range(63, 127))
+_G6_VALUE = bytes.maketrans(_G6_RANGE, bytes(range(64)))
+_SIX_BITS = tuple(format(x, "06b") for x in range(64))
 
 
 def _graph6_bytes(line: str) -> bytes:
@@ -100,9 +125,9 @@ def _graph6_bytes(line: str) -> bytes:
         data = line.encode("ascii")
     except UnicodeEncodeError:
         raise ParseError("graph6 data must be ascii") from None
-    for pos, b in enumerate(data):
-        if b < 63 or b > 126:
-            raise ParseError(f"invalid graph6 byte at offset {pos}")
+    if data.translate(None, _G6_RANGE):
+        pos = next(i for i, b in enumerate(data) if b < 63 or b > 126)
+        raise ParseError(f"invalid graph6 byte at offset {pos}")
     return data
 
 
@@ -139,15 +164,22 @@ def _parse_graph6(text: str) -> Graph:
         raise ParseError(
             f"graph6 payload has {len(data) - idx} data byte(s), expected {nbytes}"
         )
-    edges = []
-    k = 0
-    for j in range(1, n):
-        for i in range(j):
-            byte = data[idx + k // 6] - 63
-            if (byte >> (5 - k % 6)) & 1:
-                edges.append((str(i), str(j)))
-            k += 1
-    return Graph((str(i) for i in range(n)), edges)
+    # vertex labels sort as strings ("10" < "2"): position p holds order[p]
+    order = sorted(range(n), key=str)
+    labels = tuple(map(str, order))
+    if n < 2:
+        return Graph._of(Gf2Matrix._trusted(labels, (0,) * n))
+    bits = "".join(map(_SIX_BITS.__getitem__, data[idx:].translate(_G6_VALUE)))
+    # the payload lists column j of the upper triangle, the entries (i, j)
+    # with i < j, as one slice; lower[j] is row j left of the diagonal, and
+    # its transpose is each row right of the diagonal
+    lower = [bits[j * (j - 1) // 2 : j * (j + 1) // 2] + "0" * (n - j) for j in range(n)]
+    upper = map("".join, zip(*lower))
+    full = [low[:i] + up[i:] for i, (low, up) in enumerate(zip(lower, upper))]
+    # character p of a picked row is column order[p], highest position first
+    pick = itemgetter(*reversed(order))
+    rows = tuple(int("".join(pick(full[i])), 2) for i in order)
+    return Graph._of(Gf2Matrix._trusted(labels, rows))
 
 
 def _token(label) -> str:

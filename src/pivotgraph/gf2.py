@@ -211,11 +211,6 @@ class Gf2Matrix:
         return m
 
     @classmethod
-    def zeros(cls, labels: Sequence[Label]) -> "Gf2Matrix":
-        labels = tuple(labels)
-        return cls(labels, (0,) * len(labels))
-
-    @classmethod
     def from_dense(cls, labels: Sequence[Label], entries: Sequence[Sequence[int]]) -> "Gf2Matrix":
         """Build from a dense 0/1 row-of-rows table."""
         rows = []

@@ -10,7 +10,6 @@ the support alone determines the result.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 from typing import Hashable, Optional, Union
 
 from .errors import InputError, NotApplicableError, SingularPivotError, UnsupportedSizeError
@@ -40,27 +39,65 @@ ORBIT_CAP = 12
 COUNT_CAP = 24
 
 
-@dataclass(frozen=True)
-class Pivot:
+class _Op:
+    """Immutable value with the fields named in ``__match_args__``.
+
+    Equal only to an instance of the same class with equal fields.  A plain
+    class rather than a dataclass: importing ``dataclasses`` costs every
+    command several milliseconds.
+    """
+
+    __slots__ = ()
+    __match_args__ = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__match_args__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
+        return f"{type(self).__name__}({args})"
+
+    def __reduce__(self):
+        return type(self), self._key()
+
+
+class Pivot(_Op):
     """Pivot on the edge uv; applicable when uv is an edge and both are loop-free."""
 
-    u: Vertex
-    v: Vertex
+    __slots__ = __match_args__ = ("u", "v")
 
-    def __post_init__(self):
-        if self.u == self.v:
+    def __init__(self, u: Vertex, v: Vertex):
+        if u == v:
             raise InputError("pivot endpoints must be distinct")
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "v", v)
 
     @property
     def touched(self) -> frozenset:
         return frozenset((self.u, self.v))
 
 
-@dataclass(frozen=True)
-class LocalComp:
+class LocalComp(_Op):
     """Loop rule at u; applicable when u carries a loop."""
 
-    u: Vertex
+    __slots__ = __match_args__ = ("u",)
+
+    def __init__(self, u: Vertex):
+        object.__setattr__(self, "u", u)
 
     @property
     def touched(self) -> frozenset:
@@ -79,6 +116,14 @@ def _validated(G: Optional[Graph], seq: Iterable) -> tuple:
             for x in op.touched:
                 G._require_vertex(x)
     return ops
+
+
+def _mask(G: Graph, subset: Iterable) -> int:
+    """Bitmask of the positions of ``subset`` in G; InputError on a non-vertex."""
+    live = 0
+    for x in frozenset(subset):
+        live |= 1 << G._require_vertex(x)
+    return live
 
 
 def support(seq: Iterable) -> frozenset:
@@ -129,10 +174,7 @@ def is_support_applicable(G: Graph, subset: Iterable) -> bool:
     Equivalent to the principal submatrix of the adjacency matrix on the
     subset having determinant 1.
     """
-    S = frozenset(subset)
-    for x in S:
-        G._require_vertex(x)
-    return G.adjacency_matrix().principal_submatrix(S).det() == 1
+    return not _pivot_out(list(G.adjacency_matrix().rows), _mask(G, subset))[1]
 
 
 def apply_support(G: Graph, subset: Iterable) -> Graph:
@@ -168,9 +210,7 @@ def synthesize_reduced(G: Graph, subset: Iterable, anchor=None) -> tuple:
             and no applicable operation touches it.
     """
     S = frozenset(subset)
-    live = 0
-    for x in S:
-        live |= 1 << G._require_vertex(x)
+    live = _mask(G, S)
     if anchor is not None and anchor not in S:
         raise InputError(f"anchor {anchor!r} is not in the support set")
     A = G.adjacency_matrix()
@@ -178,7 +218,7 @@ def synthesize_reduced(G: Graph, subset: Iterable, anchor=None) -> tuple:
     blocks, left = _pivot_out(list(A.rows), live, first)
     if left:
         # after a first block (det 1) is taken, a stop means det(A[S]) = 0
-        if anchor is not None and A.principal_submatrix(S).det():
+        if anchor is not None and not _pivot_out(list(A.rows), live)[1]:
             raise NotApplicableError(
                 f"no applicable operation touches the anchor {anchor!r}"
             )

@@ -1,6 +1,8 @@
 import io
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -197,3 +199,24 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "1\n"
+
+
+def test_cli_import_skips_heavy_modules():
+    # every request pays for these imports before any graph work: the
+    # introspection stack behind dataclasses would cost several ms a call
+    heavy = ["dataclasses", "inspect", "ast", "dis", "tokenize"]
+    probe = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import pivotgraph.cli\n"
+        f"print(sorted(m for m in {heavy!r} if m in set(sys.modules) - before))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -81,6 +81,12 @@ def _error_case(doc, line, kind, message):
         _error_case("a loop\n", 1, "keyword", "keyword 'loop' cannot name a vertex"),
         _error_case("vertex vertex\n", 1, "keyword", "keyword 'vertex' cannot name a vertex"),
         _error_case("loop loop\n", 1, "keyword", "keyword 'loop' cannot name a vertex"),
+        # the first faulty line wins, whichever kind of fault it has
+        _error_case("a b\nb a\nx\n", 2, "duplicate edge", "duplicate edge 'b' 'a'"),
+        _error_case(
+            "a b\nx\nb a\n", 2, "tokens", "expected 'u v', 'loop v', or 'vertex v', got 1 tokens"
+        ),
+        _error_case("a b\nloop a\nloop a\n", 3, "duplicate loop", "duplicate loop on 'a'"),
     ],
 )
 def test_edge_list_errors_carry_line_numbers(doc, message):
@@ -141,34 +147,44 @@ def test_graph6_long_form_order():
 
 def test_graph6_against_networkx():
     rng = random.Random(32)
-    for _ in range(40):
-        n = rng.randint(0, 12)
+    # 62 is the last one-byte order; 100 has three-digit labels, so string
+    # order differs from numeric order well into the rows
+    sizes = [rng.randint(0, 12) for _ in range(40)] + [62, 63, 64, 100]
+    for n in sizes:
         nxg = nx.gnp_random_graph(n, 0.4, seed=rng.randint(0, 10**6))
         encoded = nx.to_graph6_bytes(nxg).decode()
         g = parse_graph(encoded, fmt="graph6")
-        assert set(g.vertices) == {str(i) for i in range(n)}
-        expected = {
-            (str(a), str(b)) if str(a) < str(b) else (str(b), str(a))
-            for a, b in nxg.edges()
-        }
-        assert set(g.edges) == expected
+        expected = Graph(
+            [str(i) for i in range(n)], [(str(a), str(b)) for a, b in nxg.edges()]
+        )
+        assert g == expected
 
 
 @pytest.mark.parametrize(
-    "doc",
+    "doc,message",
     [
-        "",
-        "Bw\nBw\n",
-        "B",  # order says 3 vertices but no payload
-        "Bww",  # extra payload byte
-        "~?",  # truncated long order
-        "B\x1fw",  # byte below the graph6 range
-        "Bé",  # non-ascii
+        pytest.param(doc, message, id=doc)
+        for doc, message in [
+            ("", "expected one graph6 line, got 0"),
+            (" \n\t\n", "expected one graph6 line, got 0"),
+            ("Bw\nBw\n", "expected one graph6 line, got 2"),
+            # order says 3 vertices but no payload
+            ("B", "graph6 payload has 0 data byte(s), expected 1"),
+            # extra payload byte
+            ("Bww", "graph6 payload has 2 data byte(s), expected 1"),
+            ("~?", "truncated graph6 order"),
+            ("~~??", "truncated graph6 order"),
+            # bytes below and above the graph6 range
+            ("B\x1fw", "invalid graph6 byte at offset 1"),
+            ("B\x7fw", "invalid graph6 byte at offset 1"),
+            ("Bé", "graph6 data must be ascii"),
+        ]
     ],
 )
-def test_graph6_errors(doc):
-    with pytest.raises(ParseError):
+def test_graph6_errors(doc, message):
+    with pytest.raises(ParseError) as err:
         parse_graph(doc, fmt="graph6")
+    assert str(err.value) == message
 
 
 def test_opseq_round_trip():

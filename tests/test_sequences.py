@@ -1,3 +1,4 @@
+import pickle
 import random
 from itertools import combinations
 
@@ -53,6 +54,37 @@ def test_op_values():
     assert LocalComp(3).touched == frozenset((3,))
     with pytest.raises(InputError):
         Pivot(1, 1)
+    with pytest.raises(InputError):
+        Pivot(u="a", v="a")
+
+
+def test_op_value_semantics():
+    p = Pivot("a", "b")
+    assert p == Pivot(u="a", v="b") == Pivot("a", v="b")
+    assert hash(p) == hash(Pivot("a", "b"))
+    assert LocalComp(u="c") == LocalComp("c")
+    assert hash(LocalComp("c")) == hash(LocalComp(u="c"))
+    assert len({p, Pivot("a", "b"), LocalComp("a"), LocalComp("a")}) == 2
+    # equal only to an operation of the same class with the same fields
+    assert p != Pivot("b", "a")
+    assert p != ("a", "b")
+    assert p != LocalComp("a")
+    assert LocalComp("a") != ("a",)
+    assert repr(p) == "Pivot(u='a', v='b')"
+    assert repr(LocalComp(3)) == "LocalComp(u=3)"
+    for op, field in ((p, "u"), (p, "v"), (LocalComp("c"), "u")):
+        with pytest.raises(AttributeError):
+            setattr(op, field, "z")
+        with pytest.raises(AttributeError):
+            delattr(op, field)
+    assert (p.u, p.v) == ("a", "b")
+    assert pickle.loads(pickle.dumps(p)) == p
+    match p:
+        case Pivot(u, v):
+            assert (u, v) == ("a", "b")
+    match LocalComp("c"):
+        case LocalComp(w):
+            assert w == "c"
 
 
 def test_support_parity():
