@@ -26,13 +26,12 @@ from .formats import (
 from .gf2 import Gf2Matrix
 from .graph import (
     Graph,
-    is_isomorphic_small,
     local_complement,
     loop_complement,
     overlap_graph,
     pivot,
 )
-from .matchings import enumerate_pairings, general_pm_parity, pm_multiset, pm_parity
+from .matchings import general_pm_parity, pm_multiset, pm_parity
 from .sequences import (
     LocalComp,
     Op,
@@ -65,8 +64,6 @@ __all__ = [
     "loop_complement",
     "pivot",
     "overlap_graph",
-    "is_isomorphic_small",
-    "enumerate_pairings",
     "pm_parity",
     "general_pm_parity",
     "pm_multiset",

@@ -4,12 +4,17 @@ Every subcommand that consumes a graph reads it from a file argument or
 standard input, so commands compose through pipes.  Exit status: 0 on
 success, 1 when the operation is not applicable to the input (missing
 edge or loop, determinant 0, size cap), 2 on usage or parse errors.
+
+The command line is read by one loop over the ``COMMANDS`` table, not by
+argparse: every request is a new process, and importing and building an
+argparse parser cost several milliseconds of each one.
 """
 
 from __future__ import annotations
 
-import argparse
+import re
 import sys
+from types import SimpleNamespace
 
 from . import formats, matchings, sequences
 from .errors import InputError, NotApplicableError, UnsupportedSizeError
@@ -17,14 +22,20 @@ from .graph import Graph, local_complement, loop_complement, overlap_graph, pivo
 
 
 def _read_graph(args) -> Graph:
+    # read bytes, so a file and stdin decode by one strict rule in any locale
     if args.input == "-":
-        text = sys.stdin.read()
+        where, data = "stdin", sys.stdin.buffer.read()
     else:
+        where = repr(args.input)
         try:
-            with open(args.input, "r", encoding="utf-8") as fh:
-                text = fh.read()
+            with open(args.input, "rb") as fh:
+                data = fh.read()
         except OSError as err:
-            raise InputError(f"cannot read {args.input!r}: {err.strerror}") from None
+            raise InputError(f"cannot read {where}: {err.strerror}") from None
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise InputError(f"cannot read {where}: not UTF-8 at byte {err.start}") from None
     return formats.parse_graph(text, args.format)
 
 
@@ -116,92 +127,130 @@ def cmd_witness(args) -> int:
     return 0
 
 
-def _add_io(sub) -> None:
-    sub.add_argument("input", nargs="?", default="-", help="graph file, '-' for stdin")
-    sub.add_argument(
-        "-f",
-        "--format",
-        choices=formats.GRAPH_FORMATS,
-        default="edge-list",
-        help="input graph format",
-    )
+# command: (handler, positionals, options, help), with the positionals and
+# options written as the usage line shows them.  "--a|--b" takes exactly one
+# of the two options, "[--a]" is optional, and "[input]" brings -f/--format.
+COMMANDS = {
+    "det": (cmd_det, "[input]", "", "adjacency determinant over GF(2)"),
+    "pm": (cmd_pm, "[input]", "", "perfect-matching parity"),
+    "pivot": (cmd_pivot, "u v [input]", "", "pivot on the edge U V"),
+    "lc": (cmd_lc, "u [input]", "", "local complementation at U"),
+    "apply": (cmd_apply, "[input]", "--seq", 'apply an operation sequence, e.g. "[a b] [c]"'),
+    "apply-support": (cmd_apply_support, "[input]", "--set", "apply any sequence with the support"),
+    "applicable": (cmd_applicable, "[input]", "--seq|--set", "test a sequence or a support set"),
+    "reduce": (cmd_reduce, "[input]", "--set [--anchor]", "a reduced sequence for the support set"),
+    "reduce-to-empty": (cmd_reduce_to_empty, "[input]", "", "reduced sequence over every vertex"),
+    "orbit": (cmd_orbit, "[input]", "", "all graphs reachable by applicable sequences"),
+    "count-supports": (cmd_count_supports, "[input]", "", "number of applicable support sets"),
+    "overlap": (cmd_overlap, "", "--word", "overlap graph of a double-occurrence word"),
+    "witness": (cmd_witness, "[input]", "", "kernel witness set when the determinant is 0"),
+}
+
+_NOTES = """\
+The graph is read from the input file, or from stdin when it is '-' or absent;
+-f selects edge-list (the default) or graph6.  --set takes comma-separated
+vertices ("" is the empty set), --seq bracket groups, and --anchor the vertex
+the first operation must touch.
+Exit status: 0 done, 1 not applicable, 2 usage or input error."""
+
+# as in argparse, a dash-led token that names no option is a positional when
+# it is "-", a negative number, or holds a space
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$").match
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="pivotgraph",
-        description="Pivot and loop-complementation calculus on graphs over GF(2).",
-    )
-    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
+def _usage(name) -> str:
+    if name is None:
+        return "usage: pivotgraph [-h] command ..."
+    _, positionals, options, _ = COMMANDS[name]
+    parts = ["usage: pivotgraph", name, "[-h]"]
+    for spec in options.split():
+        alts = " | ".join(f"{flag} {flag[2:].upper()}" for flag in spec.strip("[]").split("|"))
+        parts.append(f"({alts})" if "|" in spec else f"[{alts}]" if spec[0] == "[" else alts)
+    if positionals.endswith("[input]"):
+        parts.append("[-f {%s}]" % ",".join(formats.GRAPH_FORMATS))
+    return " ".join(parts + [positionals]).rstrip()
 
-    p = sub.add_parser("det", help="adjacency determinant over GF(2)")
-    _add_io(p)
-    p.set_defaults(func=cmd_det)
 
-    p = sub.add_parser("pm", help="perfect-matching parity")
-    _add_io(p)
-    p.set_defaults(func=cmd_pm)
+def _help(name):
+    if name is None:
+        lines = ["Pivot and loop-complementation calculus on graphs over GF(2).", "", "commands:"]
+        lines += [f"  {cmd:<16} {spec[-1]}" for cmd, spec in COMMANDS.items()]
+    else:
+        lines = [COMMANDS[name][-1]]
+    sys.stdout.write("\n".join([_usage(name), "", *lines, "", _NOTES]) + "\n")
+    raise SystemExit(0)
 
-    p = sub.add_parser("pivot", help="pivot on the edge U V")
-    p.add_argument("u")
-    p.add_argument("v")
-    _add_io(p)
-    p.set_defaults(func=cmd_pivot)
 
-    p = sub.add_parser("lc", help="local complementation at U")
-    p.add_argument("u")
-    _add_io(p)
-    p.set_defaults(func=cmd_lc)
+def _fail(name, message):
+    sys.stderr.write(f"{_usage(name)}\npivotgraph: error: {message}\n")
+    raise SystemExit(2)
 
-    p = sub.add_parser("apply", help="apply an operation sequence")
-    p.add_argument("--seq", required=True, help='bracket groups, e.g. "[a b][c]"')
-    _add_io(p)
-    p.set_defaults(func=cmd_apply)
 
-    p = sub.add_parser("apply-support", help="apply any sequence with the given support")
-    p.add_argument("--set", required=True, help='comma-separated vertices; "" is empty')
-    _add_io(p)
-    p.set_defaults(func=cmd_apply_support)
+def parse_args(argv) -> SimpleNamespace:
+    """Read one command line into its command, handler, positionals and options.
 
-    p = sub.add_parser("applicable", help="test a sequence or a support set")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--seq", help="operation sequence to test")
-    group.add_argument("--set", help="support set to test")
-    _add_io(p)
-    p.set_defaults(func=cmd_applicable)
+    Options may come before, between or after the positionals, as
+    ``--opt VALUE`` or ``--opt=VALUE``; the last value given wins, and
+    ``--`` ends the options.  A usage error raises SystemExit(2).
+    """
+    if not argv:
+        _fail(None, "the following arguments are required: command")
+    name, *tokens = argv
+    if name in ("-h", "--help"):
+        _help(None)
+    if name not in COMMANDS:
+        _fail(None, f"argument command: invalid choice: {name!r}")
+    func, positionals, options, _ = COMMANDS[name]
+    groups = [spec.strip("[]").split("|") for spec in options.split()]
+    flags = {flag: flag[2:] for group in groups for flag in group}
+    fields = {"command": name, "func": func, **dict.fromkeys(flags.values())}
+    if positionals.endswith("[input]"):
+        flags["-f"] = flags["--format"] = "format"
+        fields.update(input="-", format="edge-list")
 
-    p = sub.add_parser("reduce", help="synthesize a reduced sequence for a support set")
-    p.add_argument("--set", required=True)
-    p.add_argument("--anchor", help="vertex the first operation must touch")
-    _add_io(p)
-    p.set_defaults(func=cmd_reduce)
+    def is_flag(tok):
+        if tok[:1] != "-" or tok == "-":
+            return False
+        return tok.partition("=")[0] in flags or not (" " in tok or _NEGATIVE(tok))
 
-    p = sub.add_parser("reduce-to-empty", help="reduced sequence covering every vertex")
-    _add_io(p)
-    p.set_defaults(func=cmd_reduce_to_empty)
-
-    p = sub.add_parser("orbit", help="all graphs reachable by applicable sequences")
-    _add_io(p)
-    p.set_defaults(func=cmd_orbit)
-
-    p = sub.add_parser("count-supports", help="number of applicable support sets")
-    _add_io(p)
-    p.set_defaults(func=cmd_count_supports)
-
-    p = sub.add_parser("overlap", help="overlap graph of a double-occurrence word")
-    p.add_argument("--word", required=True, help="whitespace-separated symbols")
-    p.set_defaults(func=cmd_overlap)
-
-    p = sub.add_parser("witness", help="kernel witness set when the determinant is 0")
-    _add_io(p)
-    p.set_defaults(func=cmd_witness)
-
-    return parser
+    rest = []
+    it = iter(tokens)
+    for tok in it:
+        if tok == "--":
+            rest += it
+        elif not is_flag(tok):
+            rest.append(tok)
+        elif tok in ("-h", "--help"):
+            _help(name)
+        else:
+            key, eq, value = tok.partition("=")
+            if key not in flags:
+                _fail(name, f"unrecognized arguments: {tok}")
+            if not eq:
+                value = next(it, None)
+                if value is None or is_flag(value):
+                    _fail(name, f"argument {key}: expected one argument")
+            if flags[key] == "format" and value not in formats.GRAPH_FORMATS:
+                _fail(name, f"argument -f/--format: invalid choice: {value!r}")
+            fields[flags[key]] = value
+    for spec, group in zip(options.split(), groups):
+        given = [flag for flag in group if fields[flag[2:]] is not None]
+        if len(given) > 1:
+            _fail(name, f"argument {given[1]}: not allowed with argument {given[0]}")
+        if not given and spec[0] != "[":
+            _fail(name, f"the following arguments are required: {spec}")
+    names = [p.strip("[]") for p in positionals.split()]
+    needed = len(positionals.replace("[input]", "").split())
+    if len(rest) < needed:
+        _fail(name, "the following arguments are required: " + ", ".join(names[len(rest):needed]))
+    if len(rest) > len(names):
+        _fail(name, "unrecognized arguments: " + " ".join(rest[len(names):]))
+    fields.update(zip(names, rest))
+    return SimpleNamespace(**fields)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
     except InputError as err:

@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 from collections.abc import Iterable
-from itertools import permutations
 from typing import Hashable
 
-from .errors import InputError, NotApplicableError, UnsupportedSizeError
+from .errors import InputError, NotApplicableError
 from .gf2 import Gf2Matrix, _ones
 
 __all__ = [
@@ -15,12 +14,9 @@ __all__ = [
     "loop_complement",
     "pivot",
     "overlap_graph",
-    "is_isomorphic_small",
 ]
 
 Vertex = Hashable
-
-ISOMORPHISM_CAP = 8
 
 
 class Graph:
@@ -262,24 +258,3 @@ def overlap_graph(word) -> Graph:
             if a < c < b < d or c < a < d < b:
                 edges.append((x, y))
     return Graph(toks, edges)
-
-
-def is_isomorphic_small(G: Graph, H: Graph) -> bool:
-    """Brute-force isomorphism test, for at most ``ISOMORPHISM_CAP`` vertices."""
-    n = len(G.vertices)
-    if n != len(H.vertices):
-        return False
-    if n > ISOMORPHISM_CAP:
-        raise UnsupportedSizeError(
-            f"isomorphism test supports at most {ISOMORPHISM_CAP} vertices, got {n}"
-        )
-    g_edges, g_loops, h_loops = G.edges, G.loops, H.loops
-    if len(g_edges) != len(H.edges) or len(g_loops) != len(h_loops):
-        return False
-    for perm in permutations(H.vertices):
-        m = dict(zip(G.vertices, perm))
-        if all(H.has_edge(m[u], m[v]) for u, v in g_edges) and all(
-            m[x] in h_loops for x in g_loops
-        ):
-            return True
-    return False

@@ -2,36 +2,13 @@
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 
 from .errors import InputError
 from .gf2 import Gf2Matrix
 from .graph import Graph
 
-__all__ = ["enumerate_pairings", "pm_parity", "general_pm_parity", "pm_multiset"]
-
-
-def enumerate_pairings(n: int) -> Iterator[tuple]:
-    """Yield every pairing (perfect matching) of the positions 0..n-1.
-
-    A pairing is a tuple of (i, j) pairs with i < j partitioning range(n);
-    there are (n-1)!! of them.  n must be even and non-negative.
-    """
-    if n < 0 or n % 2:
-        raise InputError(f"pairings need an even non-negative count, got {n}")
-
-    def rec(items: tuple) -> Iterator[tuple]:
-        if not items:
-            yield ()
-            return
-        first = items[0]
-        rest = items[1:]
-        for i, second in enumerate(rest):
-            remaining = rest[:i] + rest[i + 1 :]
-            for tail in rec(remaining):
-                yield ((first, second),) + tail
-
-    yield from rec(tuple(range(n)))
+__all__ = ["pm_parity", "general_pm_parity", "pm_multiset"]
 
 
 def pm_parity(G: Graph) -> int:

@@ -2,12 +2,40 @@
 
 Oracles here are deliberately naive: determinants by permutation expansion
 or by a Gauss-Jordan rank, matching parities by walking pairings, general
-matchings by brute subset cover.  They never call the code paths they check.
+matchings by brute subset cover, isomorphism by trying every bijection, and
+the command line by the argparse parser the CLI once used.  They never call
+the code paths they check.
 """
 
+import argparse
 from itertools import combinations, permutations
 
-from pivotgraph import Graph, LocalComp, Pivot, apply as apply_seq
+from pivotgraph import (
+    Graph,
+    InputError,
+    LocalComp,
+    Pivot,
+    UnsupportedSizeError,
+    apply as apply_seq,
+    formats,
+)
+from pivotgraph.cli import (
+    cmd_applicable,
+    cmd_apply,
+    cmd_apply_support,
+    cmd_count_supports,
+    cmd_det,
+    cmd_lc,
+    cmd_orbit,
+    cmd_overlap,
+    cmd_pivot,
+    cmd_pm,
+    cmd_reduce,
+    cmd_reduce_to_empty,
+    cmd_witness,
+)
+
+ISOMORPHISM_CAP = 8
 
 
 def labels(n):
@@ -134,6 +162,17 @@ def _pairings(items):
     for i in range(len(rest)):
         for tail in _pairings(rest[:i] + rest[i + 1 :]):
             yield ((first, rest[i]),) + tail
+
+
+def enumerate_pairings(n):
+    """Every pairing (perfect matching) of the positions 0..n-1.
+
+    A pairing is a tuple of (i, j) pairs with i < j partitioning range(n);
+    there are (n-1)!! of them.  n must be even and non-negative.
+    """
+    if n < 0 or n % 2:
+        raise InputError(f"pairings need an even non-negative count, got {n}")
+    return _pairings(tuple(range(n)))
 
 
 def pm_multiset_bruteforce(G, args):
@@ -301,3 +340,195 @@ def add_true_twin(G, v, name):
     """New graph where ``name`` is adjacent to v and to every neighbor of v."""
     edges = list(G.edges) + [(name, w) for w in G.neighbors(v)] + [(name, v)]
     return Graph(list(G.vertices) + [name], edges, G.loops)
+
+
+def is_isomorphic_small(G, H):
+    """Brute-force isomorphism test, for at most ``ISOMORPHISM_CAP`` vertices."""
+    n = len(G.vertices)
+    if n != len(H.vertices):
+        return False
+    if n > ISOMORPHISM_CAP:
+        raise UnsupportedSizeError(
+            f"isomorphism test supports at most {ISOMORPHISM_CAP} vertices, got {n}"
+        )
+    g_edges, g_loops, h_loops = G.edges, G.loops, H.loops
+    if len(g_edges) != len(H.edges) or len(g_loops) != len(h_loops):
+        return False
+    for perm in permutations(H.vertices):
+        m = dict(zip(G.vertices, perm))
+        if all(H.has_edge(m[u], m[v]) for u, v in g_edges) and all(
+            m[x] in h_loops for x in g_loops
+        ):
+            return True
+    return False
+
+
+def _add_io(sub) -> None:
+    sub.add_argument("input", nargs="?", default="-", help="graph file, '-' for stdin")
+    sub.add_argument(
+        "-f",
+        "--format",
+        choices=formats.GRAPH_FORMATS,
+        default="edge-list",
+        help="input graph format",
+    )
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="pivotgraph",
+        description="Pivot and loop-complementation calculus on graphs over GF(2).",
+    )
+    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
+
+    p = sub.add_parser("det", help="adjacency determinant over GF(2)")
+    _add_io(p)
+    p.set_defaults(func=cmd_det)
+
+    p = sub.add_parser("pm", help="perfect-matching parity")
+    _add_io(p)
+    p.set_defaults(func=cmd_pm)
+
+    p = sub.add_parser("pivot", help="pivot on the edge U V")
+    p.add_argument("u")
+    p.add_argument("v")
+    _add_io(p)
+    p.set_defaults(func=cmd_pivot)
+
+    p = sub.add_parser("lc", help="local complementation at U")
+    p.add_argument("u")
+    _add_io(p)
+    p.set_defaults(func=cmd_lc)
+
+    p = sub.add_parser("apply", help="apply an operation sequence")
+    p.add_argument("--seq", required=True, help='bracket groups, e.g. "[a b][c]"')
+    _add_io(p)
+    p.set_defaults(func=cmd_apply)
+
+    p = sub.add_parser("apply-support", help="apply any sequence with the given support")
+    p.add_argument("--set", required=True, help='comma-separated vertices; "" is empty')
+    _add_io(p)
+    p.set_defaults(func=cmd_apply_support)
+
+    p = sub.add_parser("applicable", help="test a sequence or a support set")
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--seq", help="operation sequence to test")
+    group.add_argument("--set", help="support set to test")
+    _add_io(p)
+    p.set_defaults(func=cmd_applicable)
+
+    p = sub.add_parser("reduce", help="synthesize a reduced sequence for a support set")
+    p.add_argument("--set", required=True)
+    p.add_argument("--anchor", help="vertex the first operation must touch")
+    _add_io(p)
+    p.set_defaults(func=cmd_reduce)
+
+    p = sub.add_parser("reduce-to-empty", help="reduced sequence covering every vertex")
+    _add_io(p)
+    p.set_defaults(func=cmd_reduce_to_empty)
+
+    p = sub.add_parser("orbit", help="all graphs reachable by applicable sequences")
+    _add_io(p)
+    p.set_defaults(func=cmd_orbit)
+
+    p = sub.add_parser("count-supports", help="number of applicable support sets")
+    _add_io(p)
+    p.set_defaults(func=cmd_count_supports)
+
+    p = sub.add_parser("overlap", help="overlap graph of a double-occurrence word")
+    p.add_argument("--word", required=True, help="whitespace-separated symbols")
+    p.set_defaults(func=cmd_overlap)
+
+    p = sub.add_parser("witness", help="kernel witness set when the determinant is 0")
+    _add_io(p)
+    p.set_defaults(func=cmd_witness)
+
+    return parser
+
+
+# command: (count of required positionals, or None for no graph input;
+# required options, exactly one of them; optional options)
+_CLI_SHAPES = {
+    "det": (0, (), ()),
+    "pm": (0, (), ()),
+    "pivot": (2, (), ()),
+    "lc": (1, (), ()),
+    "apply": (0, ("--seq",), ()),
+    "apply-support": (0, ("--set",), ()),
+    "applicable": (0, ("--seq", "--set"), ()),
+    "reduce": (0, ("--set",), ("--anchor",)),
+    "reduce-to-empty": (0, (), ()),
+    "orbit": (0, (), ()),
+    "count-supports": (0, (), ()),
+    "overlap": (None, ("--word",), ()),
+    "witness": (0, (), ()),
+}
+
+# "-", negative numbers, spaces, "=" and the empty string all read as values
+_CLI_VALUES = ("a", "b7", "-", "-1", "-2.5", "-.5", "", "x=y", "-a b", "[a b] [c]", "a,b")
+
+
+def argv_corpus(rng, count):
+    """Seeded command lines over every command, most well-formed, some not.
+
+    Options come before, between or after the positionals, as ``--opt
+    VALUE`` or ``--opt=VALUE``, and sometimes twice; ``--`` may end them,
+    and then a positional may start with a dash.  About a third carry one
+    fault: a positional or required option missing or extra, an unknown
+    option, a missing value, a bad format or an unknown command.
+    """
+    out = []
+    for _ in range(count):
+        command = rng.choice(sorted(_CLI_SHAPES))
+        npos, required, optional = _CLI_SHAPES[command]
+        pos = [rng.choice(_CLI_VALUES) for _ in range(npos or 0)]
+        if npos is not None and rng.random() < 0.6:
+            pos.append(rng.choice(_CLI_VALUES))
+        opts = []
+        if required:
+            opts.append([rng.choice(required), rng.choice(_CLI_VALUES)])
+        opts += [[o, rng.choice(_CLI_VALUES)] for o in optional if rng.random() < 0.5]
+        if npos is not None and rng.random() < 0.5:
+            opts.append([rng.choice(("-f", "--format")), rng.choice(formats.GRAPH_FORMATS)])
+        if opts and rng.random() < 0.2:
+            opts.append([rng.choice(opts)[0], rng.choice(_CLI_VALUES)])
+        fault = rng.choice(
+            ["none"] * 14
+            + ["drop-pos", "extra-pos", "drop-opt", "both", "unknown", "no-value",
+               "flag-value", "bad-format", "command"]
+        )
+        if fault == "drop-pos" and npos:
+            pos.pop(0)
+        elif fault == "extra-pos" and npos is not None:
+            pos += ["p"] * (npos + 2 - len(pos))
+        elif fault == "drop-opt" and required:
+            opts = [o for o in opts if o[0] not in required]
+        elif fault == "both" and len(required) > 1:
+            opts += [[o, "a"] for o in required]
+        elif fault == "unknown":
+            opts.append([rng.choice(("--bogus", "-x", "--word", "--anchor", "-f")), "a"])
+        elif fault == "flag-value" and opts:
+            rng.choice(opts)[1] = rng.choice(("-x", "--seq"))
+        elif fault == "bad-format":
+            opts.append(["-f", "dot"])
+        rng.shuffle(opts)
+        flat = []
+        for flag, value in opts:
+            flat += [f"{flag}={value}"] if rng.random() < 0.3 else [flag, value]
+        if fault == "no-value":
+            flat.append(rng.choice(("--seq", "--set", "-f", "--word")))
+        place = rng.choice(("before", "after", "between", "dashes"))
+        if place == "after":
+            argv = pos + flat
+        elif place == "between" and npos and npos > 1:
+            argv = pos[:1] + flat + pos[1:]
+        elif place == "dashes" and pos:
+            argv = flat + ["--", "-v" + pos[0]] + pos[1:]
+        else:
+            argv = flat + pos
+        if fault == "command":
+            argv = rng.choice(([], ["frobnicate"], ["-f", "graph6", command], ["--", command]))
+        else:
+            argv = [command] + argv
+        out.append(argv)
+    return out

@@ -21,7 +21,6 @@ from pivotgraph import (
     check_commutation,
     count_applicable_supports,
     is_applicable,
-    is_isomorphic_small,
     is_reduced,
     loop_complement,
     overlap_graph,
@@ -39,6 +38,7 @@ from helpers import (
     all_symmetric_matrices,
     apply_support_entrywise,
     general_pm_bruteforce,
+    is_isomorphic_small,
     pm_bruteforce,
     random_applicable_sequence,
     random_loop_graph,

@@ -1,5 +1,7 @@
+import contextlib
 import io
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from pivotgraph import cli
+from helpers import argv_corpus, build_parser
 
 P3 = "a b\nb c\n"
 P4 = "a b\nb c\nc d\n"
@@ -16,7 +19,8 @@ K3 = "a b\na c\nb c\n"
 @pytest.fixture
 def run(monkeypatch, capsys):
     def _run(argv, stdin=""):
-        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+        data = stdin if isinstance(stdin, bytes) else stdin.encode()
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
         code = cli.main(argv)
         out, err = capsys.readouterr()
         return code, out, err
@@ -201,15 +205,25 @@ def test_module_entry_point():
     assert proc.stdout == "1\n"
 
 
-def test_cli_import_skips_heavy_modules():
-    # every request pays for these imports before any graph work: the
-    # introspection stack behind dataclasses would cost several ms a call
-    heavy = ["dataclasses", "inspect", "ast", "dis", "tokenize"]
+def test_cli_import_skips_heavy_modules(tmp_path):
+    # every request pays for these imports before any graph work: argparse
+    # with gettext and locale, and the introspection stack behind
+    # dataclasses, would cost several ms a call
+    heavy = ["argparse", "gettext", "locale", "dataclasses", "inspect", "ast", "dis", "tokenize"]
+    path = tmp_path / "g.txt"
+    path.write_text(P3)
     probe = (
-        "import sys\n"
-        "before = set(sys.modules)\n"
+        "import contextlib, io, sys\n"
         "import pivotgraph.cli\n"
-        f"print(sorted(m for m in {heavy!r} if m in set(sys.modules) - before))\n"
+        "quiet = io.StringIO()\n"
+        "with contextlib.redirect_stdout(quiet), contextlib.redirect_stderr(quiet):\n"
+        f"    codes = [pivotgraph.cli.main(['pivot', 'a', 'b', {str(path)!r}]),\n"
+        "             pivotgraph.cli.main(['det', '/no/such/file'])]\n"
+        "    try:\n"
+        "        pivotgraph.cli.main(['pivot', 'a'])\n"
+        "    except SystemExit as exc:\n"
+        "        codes.append(exc.code)\n"
+        f"print(codes, sorted(m for m in {heavy!r} if m in sys.modules))\n"
     )
     src = str(Path(cli.__file__).resolve().parents[1])
     proc = subprocess.run(
@@ -219,4 +233,123 @@ def test_cli_import_skips_heavy_modules():
         env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    assert proc.stdout == "[0, 2, 2] []\n"
+
+
+def test_non_utf8_input_is_input_error(run, tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"a b\n\xffc d\n")
+    message = f"error: cannot read {str(path)!r}: not UTF-8 at byte 4\n"
+    assert run(["det", str(path)]) == (2, "", message)
+    assert run(["det"], b"a b\n\xff") == (2, "", "error: cannot read stdin: not UTF-8 at byte 4\n")
+
+
+@pytest.mark.parametrize("locale", ["C", "C.UTF-8"])
+def test_non_utf8_stdin_fails_in_any_locale(locale):
+    # under the C locale stdin used to decode with surrogate escapes, so the
+    # byte became a vertex named '\udcff' and the command succeeded
+    env = {k: v for k, v in os.environ.items() if not k.startswith(("PYTHONUTF8", "PYTHONIOENC"))}
+    env.update(LC_ALL=locale, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pivotgraph.cli", "det"],
+        input=b"a \xff\n",
+        capture_output=True,
+        env=env,
+    )
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr == b"error: cannot read stdin: not UTF-8 at byte 2\n"
+
+
+def test_option_forms(run):
+    pivoted = (0, "a b\na c\n", "")
+    assert run(["pivot", "a", "b", "-f", "edge-list"], P3) == pivoted
+    assert run(["pivot", "--format", "edge-list", "a", "b"], P3) == pivoted
+    assert run(["pivot", "a", "--format=edge-list", "b", "-"], P3) == pivoted
+    assert run(["pivot", "-f=edge-list", "--", "a", "b", "-"], P3) == pivoted
+    assert run(["apply", "--seq=[a b]"], P3) == pivoted
+    assert run(["apply", "--seq", "[a c]", "--seq", "[a b]"], P3) == pivoted  # last wins
+    assert run(["applicable", "--set="], P3) == (0, "true\n", "")
+    # after "--", or when they look like negative numbers, dash-led tokens
+    # are positionals
+    assert run(["pivot", "--", "-a", "-b"], "-a -b\n-b c\n") == (0, "-a -b\n-a c\n", "")
+    assert run(["pivot", "-1", "-2"], "-1 -2\n-2 3\n") == (0, "-1 -2\n-1 3\n", "")
+    assert run(["reduce", "--set=-1,-2", "--anchor", "-2"], "-1 -2\n") == (0, "[-1 -2]\n", "")
+
+
+def _usage_error(argv):
+    err = io.StringIO()
+    with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(err):
+        cli.main(argv)
+    assert exc.value.code == 2
+    usage, message = err.getvalue().splitlines()
+    assert usage.startswith("usage: pivotgraph")
+    return message
+
+
+def test_usage_error_names_the_argument():
+    assert _usage_error(["pivot", "a"]) == (
+        "pivotgraph: error: the following arguments are required: v"
+    )
+    assert _usage_error(["applicable"]).endswith("required: --seq|--set")
+    assert _usage_error(["applicable", "--seq", "[a b]", "--set=a"]) == (
+        "pivotgraph: error: argument --set: not allowed with argument --seq"
+    )
+    assert _usage_error(["apply", "--seq"]) == (
+        "pivotgraph: error: argument --seq: expected one argument"
+    )
+    assert _usage_error(["det", "-f", "dot"]).endswith("invalid choice: 'dot'")
+    assert _usage_error(["det", "a", "b"]).endswith("unrecognized arguments: b")
+    assert _usage_error(["det", "-x"]).endswith("unrecognized arguments: -x")
+    assert _usage_error(["frobnicate"]).endswith("invalid choice: 'frobnicate'")
+
+
+def test_dropped_argparse_forms():
+    # argparse took option prefixes and short options with the value
+    # attached; the reader takes neither
+    assert _usage_error(["det", "--form", "graph6"]).endswith("unrecognized arguments: --form")
+    assert _usage_error(["det", "-fgraph6"]).endswith("unrecognized arguments: -fgraph6")
+    assert _usage_error(["reduce", "--s", "a"]).endswith("unrecognized arguments: --s")
+
+
+def test_input_after_options_after_positionals(run):
+    # argparse rejected this order (its optional input positional was spent
+    # before the options); the reader takes it
+    argv = ["pivot", "a", "b", "-f", "edge-list", "-"]
+    with pytest.raises(SystemExit), contextlib.redirect_stderr(io.StringIO()):
+        build_parser().parse_args(argv)
+    assert run(argv, P3) == (0, "a b\na c\n", "")
+
+
+def test_help_is_generated_from_the_table(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["-h"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: pivotgraph [-h] command ...\n")
+    assert all(f"\n  {name} " in out for name in cli.COMMANDS)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["applicable", "--set", "a", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(
+        "usage: pivotgraph applicable [-h] (--seq SEQ | --set SET)"
+        " [-f {edge-list,graph6}] [input]\n"
+    )
+
+
+def _outcome(parse, argv):
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):
+            return vars(parse(argv))
+    except SystemExit as exc:
+        return exc.code
+
+
+def test_reader_agrees_with_argparse_oracle():
+    parser = build_parser()
+    corpus = argv_corpus(random.Random(7), 3000)
+    assert {argv[0] for argv in corpus if argv} >= set(cli.COMMANDS)
+    wants = [_outcome(parser.parse_args, argv) for argv in corpus]
+    gots = [_outcome(cli.parse_args, argv) for argv in corpus]
+    assert [argv for argv, want, got in zip(corpus, wants, gots) if want != got] == []
+    accepted = sum(isinstance(want, dict) for want in wants)
+    assert 0.5 * len(corpus) < accepted < 0.9 * len(corpus)

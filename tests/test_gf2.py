@@ -142,21 +142,6 @@ def test_ppt_raises_exactly_on_singular_pivot_sets_exhaustive():
                     m.ppt(S)
 
 
-def test_ppt_involution_random():
-    rng = random.Random(97)
-    for _ in range(200):
-        n = rng.randint(1, 10)
-        rows = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                rows[i][j] = rows[j][i] = rng.randint(0, 1)
-        m = mat(range(n), rows)
-        subset = [i for i in range(n) if rng.random() < 0.5]
-        if m.principal_submatrix(subset).det() == 0:
-            continue
-        assert m.ppt(subset).ppt(subset) == m
-
-
 @st.composite
 def matrix_and_two_sets(draw, max_n=8):
     n = draw(st.integers(1, max_n))
@@ -178,6 +163,27 @@ def test_ppt_composition(case):
     first = m.ppt(X)
     assume(first.principal_submatrix(Y).det() == 1)
     assert first.ppt(Y) == m.ppt(X ^ Y)
+
+
+def _nullity(m):
+    return m.order - rank_by_elimination(m)
+
+
+@given(matrix_and_two_sets())
+def test_ppt_involution_random(case):
+    # (A*X)*X = A whenever det A[X] = 1
+    m, X, _ = case
+    assume(_nullity(m.principal_submatrix(X)) == 0)
+    assert m.ppt(X).ppt(X) == m
+
+
+@given(matrix_and_two_sets())
+def test_ppt_nullity_invariance(case):
+    # nullity(A[X]) = nullity((A*Y)[X xor Y]) whenever det A[Y] = 1 (Brijder
+    # and Hoogeboom, LAA 2011); determinant transfer is its nullity-0 case
+    m, X, Y = case
+    assume(_nullity(m.principal_submatrix(Y)) == 0)
+    assert _nullity(m.principal_submatrix(X)) == _nullity(m.ppt(Y).principal_submatrix(X ^ Y))
 
 
 def test_ppt_output_symmetric_random():

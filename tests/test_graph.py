@@ -7,7 +7,6 @@ from pivotgraph import (
     InputError,
     NotApplicableError,
     UnsupportedSizeError,
-    is_isomorphic_small,
     local_complement,
     loop_complement,
     overlap_graph,
@@ -16,6 +15,7 @@ from pivotgraph import (
 from helpers import (
     all_loop_graphs,
     all_simple_graphs,
+    is_isomorphic_small,
     loop_rule_by_neighbourhood,
     pivot_by_classes,
     random_simple_graph,

@@ -6,7 +6,6 @@ import pytest
 from pivotgraph import (
     Graph,
     InputError,
-    enumerate_pairings,
     general_pm_parity,
     pivot,
     pm_multiset,
@@ -16,6 +15,7 @@ from helpers import (
     add_true_twin,
     all_loop_graphs,
     all_simple_graphs,
+    enumerate_pairings,
     general_pm_bruteforce,
     pm_bruteforce,
     pm_multiset_bruteforce,
