@@ -61,7 +61,6 @@ def cmd_pivot(args) -> int:
 
 def cmd_lc(args) -> int:
     G = _read_graph(args)
-    G._require_vertex(args.u)
     # looped vertex: loop rule; simple graph: neighborhood complementation
     if G.has_loop(args.u):
         return _emit_graph(loop_complement(G, args.u))

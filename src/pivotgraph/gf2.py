@@ -34,6 +34,14 @@ def _ones(bits: int) -> Iterator[int]:
         yield low.bit_length() - 1
 
 
+def _mask(positions: Iterable[int]) -> int:
+    """Bitmask with a bit set at each of ``positions``."""
+    live = 0
+    for p in positions:
+        live |= 1 << p
+    return live
+
+
 def _pivot_out(rows: list, live: int, first: Optional[int] = None) -> tuple:
     """Pivot the positions in the bitmask ``live`` out of ``rows``, in place.
 
@@ -236,27 +244,36 @@ class Gf2Matrix:
         """Bit-packed rows; bit j of rows[i] is the (labels[i], labels[j]) entry."""
         return self._rows
 
+    def _positions(self, items: Iterable[Label], what: str) -> list:
+        """Positions of ``items`` among the labels, in the order given.
+
+        InputError ``unknown {what}`` names the smallest repr of an item that
+        is not a label, counting unhashable items as not labels."""
+        out, unknown = [], []
+        for x in items:
+            try:
+                out.append(self._pos[x])
+            except (KeyError, TypeError):
+                unknown.append(repr(x))
+        if unknown:
+            raise InputError(f"unknown {what}: {min(unknown)}")
+        return out
+
     def entry(self, u: Label, v: Label) -> int:
-        try:
-            i, j = self._pos[u], self._pos[v]
-        except KeyError as err:
-            raise InputError(f"unknown label: {err.args[0]!r}") from None
+        i, j = self._positions((u, v), "label")
         return (self._rows[i] >> j) & 1
 
     def to_dense(self) -> list:
         n = self.order
         return [[(r >> j) & 1 for j in range(n)] for r in self._rows]
 
-    def _subset_positions(self, keep: Iterable[Label]) -> list:
-        keep = set(keep)
-        unknown = keep - self._pos.keys()
-        if unknown:
-            raise InputError(f"unknown label: {sorted(map(repr, unknown))[0]}")
-        return [i for i, lbl in enumerate(self._labels) if lbl in keep]
-
     def principal_submatrix(self, keep: Iterable[Label]) -> "Gf2Matrix":
         """Restrict to the rows and columns in ``keep``, preserving label order."""
-        pos = self._subset_positions(keep)
+        return self._submatrix(_mask(self._positions(keep, "label")))
+
+    def _submatrix(self, live: int) -> "Gf2Matrix":
+        """Principal submatrix on the positions in the bitmask ``live``."""
+        pos = list(_ones(live))
         labels = tuple(self._labels[i] for i in pos)
         rows = tuple(_compress(self._rows[i], pos) for i in pos)
         return Gf2Matrix._trusted(labels, rows)
@@ -305,9 +322,10 @@ class Gf2Matrix:
         Raises:
             SingularPivotError: when det of the principal submatrix is 0.
         """
-        live = 0
-        for p in self._subset_positions(pivot_set):
-            live |= 1 << p
+        return self._ppt(_mask(self._positions(pivot_set, "label")))
+
+    def _ppt(self, live: int) -> "Gf2Matrix":
+        """Principal pivot transform on the positions in the bitmask ``live``."""
         rows = list(self._rows)
         if _pivot_out(rows, live)[1]:
             raise SingularPivotError("principal submatrix on the pivot set is singular")

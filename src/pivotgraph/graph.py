@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 from collections.abc import Iterable
-from typing import Hashable
 
 from .errors import InputError, NotApplicableError
-from .gf2 import Gf2Matrix, _ones
+from .gf2 import Gf2Matrix, _mask, _ones
 
 __all__ = [
     "Graph",
@@ -15,8 +14,6 @@ __all__ = [
     "pivot",
     "overlap_graph",
 ]
-
-Vertex = Hashable
 
 
 class Graph:
@@ -93,48 +90,42 @@ class Graph:
         return not any(r >> i & 1 for i, r in enumerate(self._matrix.rows))
 
     def __contains__(self, v) -> bool:
-        return v in self._matrix._pos
-
-    def _require_vertex(self, v) -> int:
-        """Position of v in the vertex tuple; InputError when v is no vertex."""
         try:
-            return self._matrix._pos[v]
-        except KeyError:
-            raise InputError(f"unknown vertex: {v!r}") from None
+            return v in self._matrix._pos
+        except TypeError:
+            return False
+
+    def _positions(self, items: Iterable) -> list:
+        """Positions of ``items`` in the vertex tuple; see Gf2Matrix._positions."""
+        return self._matrix._positions(items, "vertex")
 
     def has_edge(self, u, v) -> bool:
-        i = self._require_vertex(u)
-        j = self._require_vertex(v)
+        i, j = self._positions((u, v))
         return i != j and bool(self._matrix.rows[i] >> j & 1)
 
     def has_loop(self, v) -> bool:
-        i = self._require_vertex(v)
+        (i,) = self._positions((v,))
         return bool(self._matrix.rows[i] >> i & 1)
 
     def neighbors(self, v) -> frozenset:
-        i = self._require_vertex(v)
+        (i,) = self._positions((v,))
         labels = self._matrix.labels
         return frozenset(labels[j] for j in _ones(self._matrix.rows[i] & ~(1 << i)))
 
     def sim(self, x, y) -> int:
         """1 iff x = y or xy is an edge; defined on simple graphs only."""
-        self._require_vertex(x)
-        self._require_vertex(y)
+        i, j = self._positions((x, y))
         if not self.is_simple():
             raise InputError("sim is defined on simple graphs; use adj_entry")
-        return 1 if x == y else self._matrix.entry(x, y)
+        return 1 if i == j else self._matrix.rows[i] >> j & 1
 
     def adj_entry(self, x, y) -> int:
         """Adjacency-matrix entry: loop bit on the diagonal, edge bit off it."""
-        self._require_vertex(x)
-        self._require_vertex(y)
-        return self._matrix.entry(x, y)
+        i, j = self._positions((x, y))
+        return self._matrix.rows[i] >> j & 1
 
     def induced_subgraph(self, keep: Iterable) -> "Graph":
-        keep = set(keep)
-        for v in keep:
-            self._require_vertex(v)
-        return Graph._of(self._matrix.principal_submatrix(keep))
+        return Graph._of(self._matrix._submatrix(_mask(self._positions(keep))))
 
     def adjacency_matrix(self) -> Gf2Matrix:
         """Symmetric GF(2) matrix with edge bits off-diagonal and loop bits on it."""
@@ -188,7 +179,7 @@ def _order_clash(verts: set) -> str:
 
 def local_complement(G: Graph, u) -> Graph:
     """Complement the edges among the neighbors of u; simple graphs only."""
-    i = G._require_vertex(u)
+    (i,) = G._positions((u,))
     if not G.is_simple():
         raise InputError(
             "local_complement is defined on simple graphs; use loop_complement"
@@ -207,10 +198,10 @@ def loop_complement(G: Graph, u) -> Graph:
     Edges among the neighbors of u are complemented and the loop of every
     neighbor is toggled; u keeps its loop and its incident edges.
     """
-    G._require_vertex(u)
-    if not G.has_loop(u):
+    (i,) = G._positions((u,))
+    if not G._matrix.rows[i] >> i & 1:
         raise NotApplicableError(f"loop_complement at {u!r}: vertex has no loop")
-    return Graph._of(G._matrix.ppt((u,)))
+    return Graph._of(G._matrix._ppt(1 << i))
 
 
 def pivot(G: Graph, u, v) -> Graph:
@@ -220,15 +211,15 @@ def pivot(G: Graph, u, v) -> Graph:
     the union of closed neighborhoods of u and v: the vertices seeing only
     u, only v, or both.  u and v stay adjacent and keep their labels.
     """
-    G._require_vertex(u)
-    G._require_vertex(v)
-    if u == v:
+    i, j = G._positions((u, v))
+    if i == j:
         raise InputError("pivot endpoints must be distinct")
-    if G.has_loop(u) or G.has_loop(v):
+    rows = G._matrix.rows
+    if (rows[i] >> i | rows[j] >> j) & 1:
         raise NotApplicableError(f"pivot {u!r}-{v!r} requires loop-free endpoints")
-    if not G.has_edge(u, v):
+    if not rows[i] >> j & 1:
         raise NotApplicableError(f"pivot {u!r}-{v!r}: no such edge")
-    return Graph._of(G._matrix.ppt((u, v)))
+    return Graph._of(G._matrix._ppt(1 << i | 1 << j))
 
 
 def overlap_graph(word) -> Graph:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from .errors import InputError
-from .gf2 import Gf2Matrix
+from .gf2 import Gf2Matrix, _compress
 from .graph import Graph
 
 __all__ = ["pm_parity", "general_pm_parity", "pm_multiset"]
@@ -47,9 +47,10 @@ def pm_multiset(G: Graph, args: Sequence) -> int:
     n = len(args)
     if n % 2:
         raise InputError(f"pm_multiset needs an even number of arguments, got {n}")
-    # sim(a, a) = 1, so the XOR with bit i clears the diagonal
-    rows = [
-        sum(G.sim(a, b) << j for j, b in enumerate(args)) ^ (1 << i)
-        for i, a in enumerate(args)
-    ]
+    pos = G._positions(args)
+    if pos and not G.is_simple():
+        raise InputError("sim is defined on simple graphs; use adj_entry")
+    # G is simple, so bit q of adj[p] | 1 << p is sim at p, q; bit i clears the diagonal
+    adj = G.adjacency_matrix().rows
+    rows = [_compress(adj[p] | 1 << p, pos) ^ (1 << i) for i, p in enumerate(pos)]
     return Gf2Matrix._trusted(tuple(range(n)), tuple(rows)).det()

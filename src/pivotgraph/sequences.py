@@ -9,11 +9,11 @@ the support alone determines the result.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from typing import Hashable, Optional, Union
 
 from .errors import InputError, NotApplicableError, SingularPivotError, UnsupportedSizeError
-from .gf2 import Gf2Matrix, _ones, _pivot_out, _walk_nonsingular
+from .gf2 import Gf2Matrix, _mask, _ones, _pivot_out, _walk_nonsingular
 from .graph import Graph, loop_complement, pivot
 
 __all__ = [
@@ -113,17 +113,8 @@ def _validated(G: Optional[Graph], seq: Iterable) -> tuple:
         if not isinstance(op, (Pivot, LocalComp)):
             raise InputError(f"not an operation: {op!r}")
         if G is not None:
-            for x in op.touched:
-                G._require_vertex(x)
+            G._positions(op._key())
     return ops
-
-
-def _mask(G: Graph, subset: Iterable) -> int:
-    """Bitmask of the positions of ``subset`` in G; InputError on a non-vertex."""
-    live = 0
-    for x in frozenset(subset):
-        live |= 1 << G._require_vertex(x)
-    return live
 
 
 def support(seq: Iterable) -> frozenset:
@@ -174,7 +165,7 @@ def is_support_applicable(G: Graph, subset: Iterable) -> bool:
     Equivalent to the principal submatrix of the adjacency matrix on the
     subset having determinant 1.
     """
-    return not _pivot_out(list(G.adjacency_matrix().rows), _mask(G, subset))[1]
+    return not _pivot_out(list(G.adjacency_matrix().rows), _mask(G._positions(subset)))[1]
 
 
 def apply_support(G: Graph, subset: Iterable) -> Graph:
@@ -186,12 +177,10 @@ def apply_support(G: Graph, subset: Iterable) -> Graph:
     Raises:
         NotApplicableError: when det(A[S]) = 0, i.e. no such sequence exists.
     """
-    S = frozenset(subset)
-    for x in S:
-        G._require_vertex(x)
+    live = _mask(G._positions(subset))
     try:
         # the ppt keeps G's sorted labels
-        return Graph._of(G.adjacency_matrix().ppt(S))
+        return Graph._of(G.adjacency_matrix()._ppt(live))
     except SingularPivotError:
         raise NotApplicableError("no applicable sequence has this support") from None
 
@@ -209,12 +198,13 @@ def synthesize_reduced(G: Graph, subset: Iterable, anchor=None) -> tuple:
         NotApplicableError: when det(A[S]) = 0, or when an anchor is given
             and no applicable operation touches it.
     """
-    S = frozenset(subset)
-    live = _mask(G, S)
-    if anchor is not None and anchor not in S:
+    items = tuple(subset)
+    pos = G._positions(items)
+    live = _mask(pos)
+    if anchor is not None and anchor not in items:
         raise InputError(f"anchor {anchor!r} is not in the support set")
     A = G.adjacency_matrix()
-    first = None if anchor is None else G._require_vertex(anchor)
+    first = None if anchor is None else pos[items.index(anchor)]
     blocks, left = _pivot_out(list(A.rows), live, first)
     if left:
         # after a first block (det 1) is taken, a stop means det(A[S]) = 0
@@ -301,13 +291,13 @@ def check_commutation(G: Graph, u, v, w, z) -> bool:
     one chord).
     """
     quad = (u, v, w, z)
-    for x in quad:
-        G._require_vertex(x)
-    if len(set(quad)) != 4:
+    i, j, k, l = pos = G._positions(quad)
+    if len(set(pos)) != 4:
         raise InputError("check_commutation needs four distinct vertices")
-    for x in quad:
-        if G.has_loop(x):
+    rows = G.adjacency_matrix().rows
+    for x, p in zip(quad, pos):
+        if rows[p] >> p & 1:
             raise InputError(f"check_commutation needs loop-free vertices, {x!r} has a loop")
-    if not G.has_edge(u, v) or not G.has_edge(w, z):
+    if not rows[i] >> j & rows[k] >> l & 1:
         raise InputError("check_commutation needs uv and wz to be edges")
     return pivot(G, u, v).has_edge(w, z) and pivot(G, w, z).has_edge(u, v)

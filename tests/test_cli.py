@@ -205,6 +205,31 @@ def test_module_entry_point():
     assert proc.stdout == "1\n"
 
 
+@pytest.mark.parametrize(
+    "argv, vertex",
+    [
+        (["apply", "--seq", "[v0 nope]"], "nope"),
+        (["reduce", "--set", "v2,v0"], "v0"),
+        (["apply-support", "--set", "v2,v0"], "v0"),
+        (["applicable", "--set", "v2,v0"], "v0"),
+    ],
+)
+def test_unknown_vertex_message_ignores_hash_seed(argv, vertex):
+    # the unknown vertices used to be checked in set order, which follows
+    # string hashing, so the vertex named changed with PYTHONHASHSEED
+    src = str(Path(cli.__file__).resolve().parents[1])
+    for seed in range(8):
+        proc = subprocess.run(
+            [sys.executable, "-m", "pivotgraph.cli", *argv],
+            input="vertex a\n",
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": str(seed)},
+        )
+        outcome = (proc.returncode, proc.stdout, proc.stderr)
+        assert outcome == (2, "", f"error: unknown vertex: {vertex!r}\n"), seed
+
+
 def test_cli_import_skips_heavy_modules(tmp_path):
     # every request pays for these imports before any graph work: argparse
     # with gettext and locale, and the introspection stack behind

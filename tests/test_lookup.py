@@ -1,0 +1,119 @@
+"""Vertex and label arguments: every entry point resolves them by one rule.
+
+An argument that is not a vertex (a label, for ``Gf2Matrix``) raises
+``InputError``; among several, the message names the smallest ``repr``, and
+an unhashable argument is not a vertex rather than a ``TypeError``.
+"""
+
+import pytest
+
+from pivotgraph import (
+    Graph,
+    InputError,
+    LocalComp,
+    Pivot,
+    apply,
+    apply_support,
+    check_commutation,
+    is_support_applicable,
+    local_complement,
+    loop_complement,
+    pivot,
+    pm_multiset,
+    synthesize_reduced,
+)
+
+# the path a - b - c - d, simple, so every entry point reaches its lookup
+G = Graph(edges=[("a", "b"), ("b", "c"), ("c", "d")])
+M = G.adjacency_matrix()
+X = ["x"]
+
+VERTEX_CALLS = [
+    pytest.param(lambda x: G.has_edge(x, "a"), id="has_edge"),
+    pytest.param(lambda x: G.has_loop(x), id="has_loop"),
+    pytest.param(lambda x: G.neighbors(x), id="neighbors"),
+    pytest.param(lambda x: G.sim("a", x), id="sim"),
+    pytest.param(lambda x: G.adj_entry(x, "a"), id="adj_entry"),
+    pytest.param(lambda x: G.induced_subgraph(["a", x]), id="induced_subgraph"),
+    pytest.param(lambda x: pivot(G, x, "a"), id="pivot"),
+    pytest.param(lambda x: loop_complement(G, x), id="loop_complement"),
+    pytest.param(lambda x: local_complement(G, x), id="local_complement"),
+    pytest.param(lambda x: apply(G, [LocalComp(x)]), id="apply-loop"),
+    pytest.param(lambda x: apply(G, [Pivot("a", x)]), id="apply-pivot"),
+    pytest.param(lambda x: apply_support(G, [x, "a"]), id="apply_support"),
+    pytest.param(lambda x: is_support_applicable(G, [x]), id="is_support_applicable"),
+    pytest.param(lambda x: synthesize_reduced(G, ["a", x]), id="synthesize_reduced"),
+    pytest.param(lambda x: check_commutation(G, "a", "b", x, "d"), id="check_commutation"),
+    pytest.param(lambda x: pm_multiset(G, ["a", x]), id="pm_multiset"),
+]
+
+LABEL_CALLS = [
+    pytest.param(lambda x: M.entry("a", x), id="entry"),
+    pytest.param(lambda x: M.ppt([x]), id="ppt"),
+    pytest.param(lambda x: M.principal_submatrix(["b", x]), id="principal_submatrix"),
+]
+
+
+@pytest.mark.parametrize("x", ["zz", X], ids=["unknown", "unhashable"])
+@pytest.mark.parametrize("call", VERTEX_CALLS)
+def test_graph_calls_name_the_vertex(call, x):
+    with pytest.raises(InputError) as err:
+        call(x)
+    assert str(err.value) == f"unknown vertex: {x!r}"
+
+
+@pytest.mark.parametrize("x", ["zz", X], ids=["unknown", "unhashable"])
+@pytest.mark.parametrize("call", LABEL_CALLS)
+def test_matrix_calls_name_the_label(call, x):
+    with pytest.raises(InputError) as err:
+        call(x)
+    assert str(err.value) == f"unknown label: {x!r}"
+
+
+def test_unhashable_anchor_and_membership():
+    with pytest.raises(InputError) as err:
+        synthesize_reduced(G, ["a", "b"], anchor=X)
+    assert str(err.value) == "anchor ['x'] is not in the support set"
+    assert X not in G
+
+
+@pytest.mark.parametrize("items", [["v2", "v0"], ["v0", "v2"], {"v2", "v0"}, ["a", "v2", X, "v0"]])
+def test_set_names_the_smallest_repr(items):
+    # "'v0'" sorts before "'v2'" and before "['x']"
+    for call in (
+        lambda: apply_support(G, items),
+        lambda: is_support_applicable(G, items),
+        lambda: synthesize_reduced(G, items),
+        lambda: G.induced_subgraph(items),
+    ):
+        with pytest.raises(InputError) as err:
+            call()
+        assert str(err.value) == "unknown vertex: 'v0'"
+    for call in (lambda: M.ppt(items), lambda: M.principal_submatrix(items)):
+        with pytest.raises(InputError) as err:
+            call()
+        assert str(err.value) == "unknown label: 'v0'"
+
+
+def test_one_call_names_the_smallest_repr():
+    for call in (
+        lambda: pivot(G, "v2", "v0"),
+        lambda: G.has_edge("v2", "v0"),
+        lambda: check_commutation(G, "a", "v2", "b", "v0"),
+        lambda: pm_multiset(G, ["v2", "a", "v0", "b"]),
+    ):
+        with pytest.raises(InputError) as err:
+            call()
+        assert str(err.value) == "unknown vertex: 'v0'"
+    with pytest.raises(InputError) as err:
+        M.entry("v2", "v0")
+    assert str(err.value) == "unknown label: 'v0'"
+
+
+def test_sequence_names_the_first_operation_with_an_unknown_vertex():
+    # op 2 is the first with an unknown vertex; within it 'nope' < 'v2',
+    # and 'v0' in op 3 is not named although it sorts first
+    seq = [Pivot("a", "b"), Pivot("v2", "nope"), LocalComp("v0")]
+    with pytest.raises(InputError) as err:
+        apply(G, seq)
+    assert str(err.value) == "unknown vertex: 'nope'"

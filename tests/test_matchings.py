@@ -126,8 +126,15 @@ def test_pm_multiset_validation():
         pm_multiset(g, ["a", "x"])
     # no size cap: equal pairs cancel, leaving pm(a, b) = sim(a, b) = 1
     assert pm_multiset(g, ["a", "b"] * 8) == 1
-    with pytest.raises(InputError):
-        pm_multiset(Graph(loops=["a"]), ["a", "a"])
+    looped = Graph(loops=["a"])
+    with pytest.raises(InputError, match="simple graphs"):
+        pm_multiset(looped, ["a", "a"])
+    assert pm_multiset(looped, []) == 1
+    # an odd count fails first, then an unknown vertex, then the loop
+    with pytest.raises(InputError, match="even number"):
+        pm_multiset(looped, ["x"])
+    with pytest.raises(InputError, match="unknown vertex: 'x'"):
+        pm_multiset(looped, ["a", "x"])
 
 
 def test_pm_multiset_matches_bruteforce_random():

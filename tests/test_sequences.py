@@ -438,6 +438,9 @@ def test_check_commutation_validation():
     g2 = Graph(edges=[(0, 1), (2, 3)], loops=[3])
     with pytest.raises(InputError):
         check_commutation(g2, 0, 1, 2, 3)
+    g3 = Graph(edges=[(0, 1), (2, 3)], vertices=[4])
+    with pytest.raises(InputError, match="uv and wz to be edges"):
+        check_commutation(g3, 0, 1, 3, 4)  # uv is an edge, 3-4 is not
 
 
 def test_check_commutation_equals_order_independence():
