@@ -22,6 +22,7 @@ from .formats import (
     parse_vertex_set,
     serialize_graph,
     serialize_opseq,
+    serialize_vertex_set,
 )
 from .gf2 import Gf2Matrix
 from .graph import (
@@ -86,4 +87,5 @@ __all__ = [
     "parse_opseq",
     "serialize_opseq",
     "parse_vertex_set",
+    "serialize_vertex_set",
 ]

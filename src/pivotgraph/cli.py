@@ -122,7 +122,7 @@ def cmd_overlap(args) -> int:
 
 def cmd_witness(args) -> int:
     witness = _read_graph(args).adjacency_matrix().kernel_witness()
-    print("none" if witness is None else ",".join(sorted(witness)))
+    print("none" if witness is None else formats.serialize_vertex_set(witness))
     return 0
 
 

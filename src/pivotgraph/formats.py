@@ -19,7 +19,9 @@ named "0".."n-1".
 
 Operation sequences use bracket groups: ``[u v]`` is a pivot, ``[w]`` the
 loop rule.  Vertex sets are comma-separated tokens; the empty string is the
-empty set.
+empty set.  The writers refuse a vertex whose token would not read back:
+one with whitespace, ``#`` or a keyword, ``[`` or ``]`` in a sequence, and
+``,`` in a set.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from operator import itemgetter
 
 from .errors import InputError, ParseError
 from .gf2 import Gf2Matrix, _ones
-from .graph import Graph
+from .graph import Graph, _bit_rows
 from .sequences import LocalComp, Pivot
 
 __all__ = [
@@ -40,6 +42,7 @@ __all__ = [
     "parse_opseq",
     "serialize_opseq",
     "parse_vertex_set",
+    "serialize_vertex_set",
 ]
 
 GRAPH_FORMATS = ("edge-list", "graph6")
@@ -96,22 +99,12 @@ def _parse_edge_list(text: str) -> Graph:
         # a duplicate edge before this line is found below and comes first
         fault = err
     labels = tuple(sorted({*declared, *loops, *chain.from_iterable(edges)}))
-    n = len(labels)
-    pos = dict(zip(labels, range(n)))
-    bit = [1 << i for i in range(n)]
-    rows = [0] * n
-    for k, (u, v) in enumerate(edges):
-        i = pos[u]
-        j = pos[v]
-        if rows[i] & bit[j]:
-            raise ParseError(f"duplicate edge {u!r} {v!r}", line=edge_lines[k])
-        rows[i] |= bit[j]
-        rows[j] |= bit[i]
+    rows, k = _bit_rows(labels, edges, loops)
+    if k is not None:
+        raise ParseError("duplicate edge {!r} {!r}".format(*edges[k]), line=edge_lines[k])
     if fault is not None:
         raise fault
-    for v in loops:
-        rows[pos[v]] |= bit[pos[v]]
-    return Graph._of(Gf2Matrix._trusted(labels, tuple(rows)))
+    return Graph._of(Gf2Matrix._trusted(labels, rows))
 
 
 # graph6 bytes are 63..126; each carries six bits, high bit first
@@ -182,9 +175,9 @@ def _parse_graph6(text: str) -> Graph:
     return Graph._of(Gf2Matrix._trusted(labels, rows))
 
 
-def _token(label) -> str:
+def _token(label, reserved: str = "#") -> str:
     tok = str(label)
-    if not tok or tok.split() != [tok] or "#" in tok or tok in _KEYWORDS:
+    if not tok or tok.split() != [tok] or tok in _KEYWORDS or any(c in tok for c in reserved):
         raise InputError(f"vertex id {label!r} cannot be written as a token")
     return tok
 
@@ -234,12 +227,9 @@ def serialize_opseq(seq) -> str:
     """Bracket-group form of a sequence; inverse of parse_opseq."""
     parts = []
     for op in seq:
-        if isinstance(op, Pivot):
-            parts.append(f"[{_token(op.u)} {_token(op.v)}]")
-        elif isinstance(op, LocalComp):
-            parts.append(f"[{_token(op.u)}]")
-        else:
+        if not isinstance(op, (Pivot, LocalComp)):
             raise InputError(f"not an operation: {op!r}")
+        parts.append("[" + " ".join(_token(x, "#[]") for x in op._key()) + "]")
     return " ".join(parts)
 
 
@@ -254,3 +244,8 @@ def parse_vertex_set(text: str) -> frozenset:
             raise ParseError(f"empty vertex token in set: {text!r}")
         out.append(tok)
     return frozenset(out)
+
+
+def serialize_vertex_set(vertices) -> str:
+    """Sorted comma-separated tokens; inverse of parse_vertex_set."""
+    return ",".join(_token(v, "#,") for v in sorted(vertices))

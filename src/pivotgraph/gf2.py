@@ -9,6 +9,7 @@ matrix is 1.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
+from operator import index
 from typing import Hashable, Optional
 
 from .errors import InputError, SingularPivotError
@@ -40,6 +41,25 @@ def _mask(positions: Iterable[int]) -> int:
     for p in positions:
         live |= 1 << p
     return live
+
+
+def _vertex_ids(items: Iterable, what: str) -> set:
+    """The set of ``items``, naming the first one that is not hashable."""
+    out = set()
+    for x in items:
+        try:
+            out.add(x)
+        except TypeError:
+            raise InputError(f"{what} {x!r} is not hashable") from None
+    return out
+
+
+def _index(x, what: str) -> int:
+    """``x`` by ``operator.index``, so ints and bools pass; InputError names anything else."""
+    try:
+        return index(x)
+    except TypeError:
+        raise InputError(f"{what} {x!r} is not an integer") from None
 
 
 def _pivot_out(rows: list, live: int, first: Optional[int] = None) -> tuple:
@@ -181,17 +201,18 @@ class Gf2Matrix:
         rows: one int per label; bit j of rows[i] is the (i, j) entry.
 
     Raises:
-        InputError: on duplicate labels, length mismatch, stray bits beyond
-            the matrix order, or an asymmetric entry.
+        InputError: on an unhashable or duplicate label, a row that is not an
+            int, length mismatch, stray bits beyond the matrix order, or an
+            asymmetric entry.
     """
 
     __slots__ = ("_labels", "_pos", "_rows")
 
     def __init__(self, labels: Sequence[Label], rows: Sequence[int]):
         labels = tuple(labels)
-        rows = tuple(int(r) for r in rows)
+        rows = tuple(_index(r, "row") for r in rows)
         n = len(labels)
-        if len(set(labels)) != n:
+        if len(_vertex_ids(labels, "label")) != n:
             raise InputError("duplicate labels")
         if len(rows) != n:
             raise InputError(f"expected {n} rows, got {len(rows)}")
@@ -225,9 +246,10 @@ class Gf2Matrix:
         for row in entries:
             bits = 0
             for j, x in enumerate(row):
-                if x not in (0, 1):
+                b = _index(x, "entry")
+                if b not in (0, 1):
                     raise InputError(f"entry {x!r} is not a bit")
-                bits |= x << j
+                bits |= b << j
             rows.append(bits)
         return cls(labels, rows)
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 from .errors import InputError, NotApplicableError
-from .gf2 import Gf2Matrix, _mask, _ones
+from .gf2 import Gf2Matrix, _compress, _mask, _ones, _vertex_ids
 
 __all__ = [
     "Graph",
@@ -45,20 +45,8 @@ class Graph:
                 ) from None
             if u == v:
                 raise InputError(f"self-pair {u!r} is not an edge; declare it as a loop")
-        verts |= loop_set
-        try:
-            labels = tuple(sorted(verts))
-        except TypeError:
-            raise InputError(_order_clash(verts)) from None
-        pos = {v: i for i, v in enumerate(labels)}
-        rows = [0] * len(labels)
-        for u, v in pairs:
-            i, j = pos[u], pos[v]
-            rows[i] |= 1 << j
-            rows[j] |= 1 << i
-        for v in loop_set:
-            rows[pos[v]] |= 1 << pos[v]
-        self._matrix = Gf2Matrix._trusted(labels, tuple(rows))
+        labels = _sorted_ids(verts | loop_set)
+        self._matrix = Gf2Matrix._trusted(labels, _bit_rows(labels, pairs, loop_set)[0])
 
     @classmethod
     def _of(cls, m: Gf2Matrix) -> "Graph":
@@ -133,10 +121,11 @@ class Graph:
 
     @classmethod
     def from_adjacency_matrix(cls, m: Gf2Matrix) -> "Graph":
-        g = cls._of(m)
-        # sorts the labels, or names two that do not compare
-        vertices = cls(m.labels).vertices
-        return g if vertices == m.labels else cls(vertices, g.edges, g.loops)
+        labels = _sorted_ids(m.labels)
+        if labels == m.labels:
+            return cls._of(m)
+        pos = m._positions(labels, "label")
+        return cls._of(Gf2Matrix._trusted(labels, tuple(_compress(m.rows[p], pos) for p in pos)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
@@ -153,28 +142,38 @@ class Graph:
         )
 
 
-def _vertex_ids(items: Iterable, what: str) -> set:
-    """The set of ``items``, naming the first one that is not hashable."""
-    out = set()
-    for x in items:
-        try:
-            out.add(x)
-        except TypeError:
-            raise InputError(f"{what} {x!r} is not hashable") from None
-    return out
+def _sorted_ids(ids: Iterable) -> tuple:
+    """``ids`` sorted; InputError names two that do not compare, in ``repr`` order."""
+    try:
+        return tuple(sorted(ids))
+    except TypeError:
+        reps = {}  # the smallest repr of each type met
+        for x in sorted(ids, key=repr):
+            for y in reps.values():
+                try:
+                    sorted((y, x))
+                except TypeError:
+                    raise InputError(f"vertex ids {y!r} and {x!r} cannot be ordered") from None
+            reps.setdefault(type(x), x)
+        raise InputError("vertex ids cannot be ordered") from None
 
 
-def _order_clash(verts: set) -> str:
-    """Error message naming two vertex ids that do not compare."""
-    reps = {}
-    for x in verts:
-        for y in reps.values():
-            try:
-                sorted((x, y))
-            except TypeError:
-                return f"vertex ids {y!r} and {x!r} cannot be ordered"
-        reps.setdefault(type(x), x)
-    return "vertex ids cannot be ordered"
+def _bit_rows(labels: tuple, pairs: Iterable, loops: Iterable) -> tuple:
+    """Bit rows over ``labels`` with the given edges and loops; the first repeated pair's index."""
+    n = len(labels)
+    pos = dict(zip(labels, range(n)))
+    bit = [1 << i for i in range(n)]
+    rows = [0] * n
+    first = None
+    for k, (u, v) in enumerate(pairs):
+        i, j = pos[u], pos[v]
+        if rows[i] & bit[j] and first is None:
+            first = k
+        rows[i] |= bit[j]
+        rows[j] |= bit[i]
+    for v in loops:
+        rows[pos[v]] |= bit[pos[v]]
+    return tuple(rows), first
 
 
 def local_complement(G: Graph, u) -> Graph:
@@ -232,6 +231,7 @@ def overlap_graph(word) -> Graph:
     the first).
     """
     symbols = word.split() if isinstance(word, str) else list(word)
+    toks = _sorted_ids(_vertex_ids(symbols, "symbol"))
     spans = {}
     for pos, s in enumerate(symbols):
         spans.setdefault(s, []).append(pos)
@@ -240,7 +240,6 @@ def overlap_graph(word) -> Graph:
             raise InputError(
                 f"not a double-occurrence word: {s!r} occurs {len(positions)} time(s)"
             )
-    toks = sorted(spans)
     edges = []
     for i, x in enumerate(toks):
         a, b = spans[x]

@@ -13,7 +13,7 @@ from collections.abc import Iterable
 from typing import Hashable, Optional, Union
 
 from .errors import InputError, NotApplicableError, SingularPivotError, UnsupportedSizeError
-from .gf2 import Gf2Matrix, _mask, _ones, _pivot_out, _walk_nonsingular
+from .gf2 import Gf2Matrix, _mask, _ones, _pivot_out, _vertex_ids, _walk_nonsingular
 from .graph import Graph, loop_complement, pivot
 
 __all__ = [
@@ -114,6 +114,8 @@ def _validated(G: Optional[Graph], seq: Iterable) -> tuple:
             raise InputError(f"not an operation: {op!r}")
         if G is not None:
             G._positions(op._key())
+        else:
+            _vertex_ids(op._key(), "vertex")
     return ops
 
 
@@ -288,7 +290,8 @@ def check_commutation(G: Graph, u, v, w, z) -> bool:
     Requires uv and wz to be edges on four distinct loop-free vertices.
     Both orders work exactly when the four vertices induce a subgraph with
     an odd number of perfect matchings (never a 4-cycle or a 4-cycle plus
-    one chord).
+    one chord): by determinant transfer, wz is an edge of G[uv] iff
+    det A[{u, v, w, z}] = 1, and so is uv of G[wz].
     """
     quad = (u, v, w, z)
     i, j, k, l = pos = G._positions(quad)
@@ -300,4 +303,4 @@ def check_commutation(G: Graph, u, v, w, z) -> bool:
             raise InputError(f"check_commutation needs loop-free vertices, {x!r} has a loop")
     if not rows[i] >> j & rows[k] >> l & 1:
         raise InputError("check_commutation needs uv and wz to be edges")
-    return pivot(G, u, v).has_edge(w, z) and pivot(G, w, z).has_edge(u, v)
+    return not _pivot_out(list(rows), _mask(pos))[1]

@@ -185,6 +185,15 @@ def test_witness(run):
     assert run(["witness"], P4) == (0, "none\n", "")
 
 
+def test_writers_refuse_vertices_that_do_not_read_back(run):
+    # "[a] b]" would not parse as a sequence, and "x,y" reads as two vertices
+    message = "error: vertex id {!r} cannot be written as a token\n"
+    assert run(["reduce-to-empty"], "a] b\n") == (2, "", message.format("a]"))
+    assert run(["reduce", "--set", "a],b"], "a] b\n") == (2, "", message.format("a]"))
+    assert run(["witness"], "vertex x,y\n") == (2, "", message.format("x,y"))
+    assert run(["witness"], "a] b\nvertex [c\n") == (0, "[c\n", "")
+
+
 def test_usage_errors():
     with pytest.raises(SystemExit) as exc:
         cli.main([])

@@ -16,6 +16,7 @@ from pivotgraph import (
     parse_vertex_set,
     serialize_graph,
     serialize_opseq,
+    serialize_vertex_set,
 )
 from helpers import random_loop_graph
 
@@ -83,6 +84,7 @@ def _error_case(doc, line, kind, message):
         _error_case("loop loop\n", 1, "keyword", "keyword 'loop' cannot name a vertex"),
         # the first faulty line wins, whichever kind of fault it has
         _error_case("a b\nb a\nx\n", 2, "duplicate edge", "duplicate edge 'b' 'a'"),
+        _error_case("a b\nc d\nb a\nd c\n", 3, "first duplicate", "duplicate edge 'b' 'a'"),
         _error_case(
             "a b\nx\nb a\n", 2, "tokens", "expected 'u v', 'loop v', or 'vertex v', got 1 tokens"
         ),
@@ -211,6 +213,24 @@ def test_serialize_opseq_validation():
         serialize_opseq([("a", "b")])
     with pytest.raises(InputError):
         serialize_opseq([LocalComp("has space")])
+
+
+def test_writers_refuse_tokens_that_do_not_read_back():
+    # each of these would be read back as other operations or other vertices
+    for seq in ([Pivot("a]", "b")], [Pivot("a", "[b")], [LocalComp("x]y")]):
+        with pytest.raises(InputError, match="cannot be written as a token"):
+            serialize_opseq(seq)
+    with pytest.raises(InputError) as err:
+        serialize_vertex_set({"a", "x,y"})
+    assert str(err.value) == "vertex id 'x,y' cannot be written as a token"
+
+
+def test_vertex_set_round_trip():
+    assert serialize_vertex_set(frozenset()) == ""
+    assert serialize_vertex_set({"c", "a", "b"}) == "a,b,c"
+    assert serialize_vertex_set({3, 1}) == "1,3"
+    for s in (set(), {"a"}, {"a]", "[b", "c-d"}):
+        assert parse_vertex_set(serialize_vertex_set(s)) == s
 
 
 def test_parse_vertex_set():

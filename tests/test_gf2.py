@@ -29,6 +29,34 @@ def test_construction_validation():
         mat("ab", [[0, 2], [2, 0]])
 
 
+@pytest.mark.parametrize(
+    "labels, rows, message",
+    [
+        pytest.param([["a"]], [0], "label ['a'] is not hashable", id="unhashable-label"),
+        pytest.param(["a"], ["x"], "row 'x' is not an integer", id="str-row"),
+        # a float row used to be truncated to an int
+        pytest.param(["a"], [1.7], "row 1.7 is not an integer", id="float-row"),
+        pytest.param(["a"], [1.0], "row 1.0 is not an integer", id="whole-float-row"),
+    ],
+)
+def test_construction_admits_hashable_labels_and_int_rows(labels, rows, message):
+    with pytest.raises(InputError) as err:
+        Gf2Matrix(labels, rows)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("x", [1.0, "1"])
+def test_from_dense_admits_int_entries(x):
+    with pytest.raises(InputError) as err:
+        Gf2Matrix.from_dense(["a"], [[x]])
+    assert str(err.value) == f"entry {x!r} is not an integer"
+
+
+def test_construction_reads_bools_as_ints():
+    assert Gf2Matrix("ab", [True, False]).rows == (1, 0)
+    assert mat("ab", [[True, False], [False, False]]).rows == (1, 0)
+
+
 def test_entry_and_labels():
     assert K3.labels == ("a", "b", "c")
     assert K3.entry("a", "b") == 1

@@ -1,8 +1,14 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pivotgraph
 from pivotgraph import (
+    Gf2Matrix,
     Graph,
     InputError,
     NotApplicableError,
@@ -18,6 +24,7 @@ from helpers import (
     is_isomorphic_small,
     loop_rule_by_neighbourhood,
     pivot_by_classes,
+    random_loop_graph,
     random_simple_graph,
 )
 
@@ -74,6 +81,32 @@ def test_constructor_names_unorderable_vertices():
     assert "'a'" in str(err.value) and ("1" in str(err.value) or "2" in str(err.value))
 
 
+def test_unorderable_message_ignores_hash_seed():
+    # the clash used to be searched in set order, which follows string hashing
+    src = str(Path(pivotgraph.__file__).resolve().parents[1])
+    code = (
+        "from pivotgraph import Graph, InputError\n"
+        "try:\n    Graph(['a', 1, 'b', 2.5, 'c'])\n"
+        "except InputError as err:\n    print(err)\n"
+    )
+    outputs = {
+        subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": str(seed)},
+        ).stdout
+        for seed in range(8)
+    }
+    assert outputs == {"vertex ids 'a' and 1 cannot be ordered\n"}
+
+
+def test_repeated_edges_and_loops_are_one():
+    g = Graph(edges=[("a", "b"), ["b", "a"], ("b", "c"), ("a", "b")], loops=["c", "c"])
+    assert g == Graph(edges=[("a", "b"), ("b", "c")], loops=["c"])
+    assert g.adjacency_matrix().rows == (0b010, 0b101, 0b110)
+
+
 def test_equality_and_hash():
     g = Graph(edges=[("a", "b"), ("b", "c")])
     h = Graph(edges=[("c", "b"), ("b", "a")])
@@ -124,6 +157,37 @@ def test_adjacency_matrix_roundtrip():
     assert m.entry("a", "b") == 1
     assert m.entry("z", "z") == 0
     assert Graph.from_adjacency_matrix(m) == g
+
+
+def test_from_adjacency_matrix_permutes_rows_without_graph_init(monkeypatch):
+    # labels c, a, b: edges c-a and a-b, a loop on c
+    m = Gf2Matrix.from_dense("cab", [[1, 1, 0], [1, 0, 1], [0, 1, 0]])
+    expected = Graph(edges=[("a", "b"), ("a", "c")], loops=["c"])
+    sorted_m = expected.adjacency_matrix()
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("Graph.__init__ was called")
+
+    monkeypatch.setattr(Graph, "__init__", refuse)
+    g = Graph.from_adjacency_matrix(m)
+    assert Graph.from_adjacency_matrix(sorted_m).adjacency_matrix() is sorted_m
+    monkeypatch.undo()
+    assert g == expected
+    assert g.vertices == ("a", "b", "c")
+
+
+def test_from_adjacency_matrix_matches_entries_in_any_label_order():
+    rng = random.Random(9)
+    for _ in range(40):
+        n = rng.randint(0, 8)
+        g = random_loop_graph(rng, n)
+        order = list(g.vertices)
+        rng.shuffle(order)
+        dense = [[g.adj_entry(x, y) for y in order] for x in order]
+        assert Graph.from_adjacency_matrix(Gf2Matrix.from_dense(order, dense)) == g
+    with pytest.raises(InputError) as err:
+        Graph.from_adjacency_matrix(Gf2Matrix(["b", 1, "a"], [0, 0, 0]))
+    assert str(err.value) == "vertex ids 'a' and 1 cannot be ordered"
 
 
 def test_local_complement_triangle():
@@ -262,6 +326,11 @@ def test_overlap_graph_rejects_bad_words():
         overlap_graph("a b a")
     with pytest.raises(InputError):
         overlap_graph("a a a a")
+    # symbols must be vertex ids: hashable, and comparable with each other
+    with pytest.raises(InputError, match=r"^symbol \[1\] is not hashable$"):
+        overlap_graph([[1], [1]])
+    with pytest.raises(InputError, match="^vertex ids 'a' and 1 cannot be ordered$"):
+        overlap_graph([1, "a", 1, "a"])
 
 
 def test_isomorphism_small():

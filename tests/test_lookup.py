@@ -15,11 +15,13 @@ from pivotgraph import (
     apply,
     apply_support,
     check_commutation,
+    is_reduced,
     is_support_applicable,
     local_complement,
     loop_complement,
     pivot,
     pm_multiset,
+    support,
     synthesize_reduced,
 )
 
@@ -117,3 +119,17 @@ def test_sequence_names_the_first_operation_with_an_unknown_vertex():
     with pytest.raises(InputError) as err:
         apply(G, seq)
     assert str(err.value) == "unknown vertex: 'nope'"
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: support([LocalComp(X)]), id="support"),
+        pytest.param(lambda: support([Pivot("a", X)]), id="support-pivot"),
+        pytest.param(lambda: is_reduced([Pivot(X, "a")]), id="is_reduced"),
+    ],
+)
+def test_calls_without_a_graph_name_an_unhashable_vertex(call):
+    with pytest.raises(InputError) as err:
+        call()
+    assert str(err.value) == "vertex ['x'] is not hashable"

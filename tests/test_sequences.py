@@ -35,6 +35,7 @@ from helpers import (
     greedy_reduced_sequence,
     minor_bruteforce,
     orbit_bruteforce,
+    pivot_by_classes,
     pm_bruteforce,
     random_applicable_sequence,
     random_loop_graph,
@@ -466,6 +467,33 @@ def test_check_commutation_equals_order_independence():
                 g, [Pivot(w, z), Pivot(u, v)]
             )
         done += 1
+
+
+def test_check_commutation_matches_pivot_oracle():
+    # check_commutation reads det A[{u, v, w, z}]; the oracles pivot twice,
+    # once by the class definition and once through is_applicable
+    rng = random.Random(31)
+    for n in range(5, 10):
+        done = 0
+        while done < 30:
+            g = random_simple_graph(rng, n)
+            quads = [
+                (u, v, w, z)
+                for u, v in g.edges
+                for w, z in g.edges
+                if len({u, v, w, z}) == 4
+            ]
+            if not quads:
+                continue
+            u, v, w, z = rng.choice(quads)
+            by_classes = pivot_by_classes(g, u, v).has_edge(w, z) and pivot_by_classes(
+                g, w, z
+            ).has_edge(u, v)
+            both = is_applicable(g, [Pivot(u, v), Pivot(w, z)]) and is_applicable(
+                g, [Pivot(w, z), Pivot(u, v)]
+            )
+            assert check_commutation(g, u, v, w, z) == by_classes == both
+            done += 1
 
 
 def test_twins_stay_twins():
