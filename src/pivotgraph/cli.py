@@ -1,9 +1,11 @@
 """Command-line front end.
 
-Every subcommand that consumes a graph reads it from a file argument or
-standard input, so commands compose through pipes.  Exit status: 0 on
-success, 1 when the operation is not applicable to the input (missing
-edge or loop, determinant 0, size cap), 2 on usage or parse errors.
+Every subcommand but ``overlap`` answers a question about one graph, read
+from a file argument or standard input, so commands compose through pipes.
+``main`` reads that graph, and each handler returns its answer as text for
+``main`` to write.  Exit status: 0 on success, 1 when the operation is not
+applicable to the input (missing edge or loop, determinant 0, size cap),
+2 on usage or parse errors.
 
 The command line is read by one loop over the ``COMMANDS`` table, not by
 argparse: every request is a new process, and importing and building an
@@ -39,91 +41,77 @@ def _read_graph(args) -> Graph:
     return formats.parse_graph(text, args.format)
 
 
-def _emit_graph(G: Graph) -> int:
-    sys.stdout.write(formats.serialize_graph(G))
-    return 0
+def cmd_det(G, args) -> str:
+    return f"{G.adjacency_matrix().det()}\n"
 
 
-def cmd_det(args) -> int:
-    print(_read_graph(args).adjacency_matrix().det())
-    return 0
-
-
-def cmd_pm(args) -> int:
+def cmd_pm(G, args) -> str:
     # on simple graphs this is pm_parity: no vertex carries a loop
-    print(matchings.general_pm_parity(_read_graph(args)))
-    return 0
+    return f"{matchings.general_pm_parity(G)}\n"
 
 
-def cmd_pivot(args) -> int:
-    return _emit_graph(pivot(_read_graph(args), args.u, args.v))
+def cmd_pivot(G, args) -> str:
+    return formats.serialize_graph(pivot(G, args.u, args.v))
 
 
-def cmd_lc(args) -> int:
-    G = _read_graph(args)
+def cmd_lc(G, args) -> str:
     # looped vertex: loop rule; simple graph: neighborhood complementation
     if G.has_loop(args.u):
-        return _emit_graph(loop_complement(G, args.u))
+        return formats.serialize_graph(loop_complement(G, args.u))
     if G.is_simple():
-        return _emit_graph(local_complement(G, args.u))
+        return formats.serialize_graph(local_complement(G, args.u))
     raise NotApplicableError(
         f"lc at {args.u!r}: vertex has no loop and the graph is not simple"
     )
 
 
-def cmd_apply(args) -> int:
-    return _emit_graph(sequences.apply(_read_graph(args), formats.parse_opseq(args.seq)))
+def cmd_apply(G, args) -> str:
+    return formats.serialize_graph(sequences.apply(G, formats.parse_opseq(args.seq)))
 
 
-def cmd_apply_support(args) -> int:
-    return _emit_graph(
-        sequences.apply_support(_read_graph(args), formats.parse_vertex_set(args.set))
-    )
+def cmd_apply_support(G, args) -> str:
+    return formats.serialize_graph(sequences.apply_support(G, formats.parse_vertex_set(args.set)))
 
 
-def cmd_applicable(args) -> int:
-    G = _read_graph(args)
+def cmd_applicable(G, args) -> str:
     if args.seq is not None:
         ok = sequences.is_applicable(G, formats.parse_opseq(args.seq))
     else:
         ok = sequences.is_support_applicable(G, formats.parse_vertex_set(args.set))
-    print("true" if ok else "false")
-    return 0
+    return "true\n" if ok else "false\n"
 
 
-def cmd_reduce(args) -> int:
-    seq = sequences.synthesize_reduced(
-        _read_graph(args), formats.parse_vertex_set(args.set), anchor=args.anchor
-    )
-    print(formats.serialize_opseq(seq))
-    return 0
+def cmd_reduce(G, args) -> str:
+    seq = sequences.synthesize_reduced(G, formats.parse_vertex_set(args.set), anchor=args.anchor)
+    return formats.serialize_opseq(seq) + "\n"
 
 
-def cmd_reduce_to_empty(args) -> int:
-    seq = sequences.reduce_to_empty(_read_graph(args))
-    print("none" if seq is None else formats.serialize_opseq(seq))
-    return 0
+def cmd_reduce_to_empty(G, args) -> str:
+    seq = sequences.reduce_to_empty(G)
+    return ("none" if seq is None else formats.serialize_opseq(seq)) + "\n"
 
 
-def cmd_orbit(args) -> int:
-    members = sequences.orbit(_read_graph(args))
-    sys.stdout.write("\n".join(formats.serialize_graph(g) for g in members))
-    return 0
+def cmd_orbit(G, args) -> str:
+    return "\n".join(formats.serialize_graph(g) for g in sequences.orbit(G))
 
 
-def cmd_count_supports(args) -> int:
-    print(sequences.count_applicable_supports(_read_graph(args)))
-    return 0
+def cmd_count_supports(G, args) -> str:
+    return f"{sequences.count_applicable_supports(G)}\n"
 
 
-def cmd_overlap(args) -> int:
-    return _emit_graph(overlap_graph(args.word))
+def cmd_overlap(G, args) -> str:
+    return formats.serialize_graph(overlap_graph(args.word))
 
 
-def cmd_witness(args) -> int:
-    witness = _read_graph(args).adjacency_matrix().kernel_witness()
-    print("none" if witness is None else formats.serialize_vertex_set(witness))
-    return 0
+def cmd_witness(G, args) -> str:
+    witness = G.adjacency_matrix().kernel_witness()
+    if witness is None:
+        return "none\n"
+    text = formats.serialize_vertex_set(witness)
+    if text == "none":
+        # "none" is the answer for a nonsingular graph
+        raise InputError("vertex id 'none' cannot be written as a witness set")
+    return text + "\n"
 
 
 # command: (handler, positionals, options, help), with the positionals and
@@ -251,13 +239,13 @@ def parse_args(argv) -> SimpleNamespace:
 def main(argv=None) -> int:
     args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        return args.func(args)
-    except InputError as err:
+        G = _read_graph(args) if hasattr(args, "input") else None
+        answer = args.func(G, args)
+    except (InputError, NotApplicableError, UnsupportedSizeError) as err:
         print(f"error: {err}", file=sys.stderr)
-        return 2
-    except (NotApplicableError, UnsupportedSizeError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(err, InputError) else 1
+    sys.stdout.write(answer)
+    return 0
 
 
 if __name__ == "__main__":

@@ -31,7 +31,7 @@ from itertools import chain
 from operator import itemgetter
 
 from .errors import InputError, ParseError
-from .gf2 import Gf2Matrix, _ones
+from .gf2 import Gf2Matrix, _items, _ones
 from .graph import Graph, _bit_rows
 from .sequences import LocalComp, Pivot
 
@@ -226,7 +226,7 @@ def parse_opseq(text: str):
 def serialize_opseq(seq) -> str:
     """Bracket-group form of a sequence; inverse of parse_opseq."""
     parts = []
-    for op in seq:
+    for op in _items(seq, "seq"):
         if not isinstance(op, (Pivot, LocalComp)):
             raise InputError(f"not an operation: {op!r}")
         parts.append("[" + " ".join(_token(x, "#[]") for x in op._key()) + "]")
@@ -248,4 +248,4 @@ def parse_vertex_set(text: str) -> frozenset:
 
 def serialize_vertex_set(vertices) -> str:
     """Sorted comma-separated tokens; inverse of parse_vertex_set."""
-    return ",".join(_token(v, "#,") for v in sorted(vertices))
+    return ",".join(_token(v, "#,") for v in sorted(_items(vertices, "vertices")))

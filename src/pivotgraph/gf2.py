@@ -43,6 +43,15 @@ def _mask(positions: Iterable[int]) -> int:
     return live
 
 
+def _items(items: Iterable, name: str) -> tuple:
+    """The caller's collection ``items`` as a tuple; InputError names ``name`` if it is not one."""
+    try:
+        it = iter(items)
+    except TypeError:
+        raise InputError(f"{name} is not iterable: {items!r}") from None
+    return tuple(it)
+
+
 def _vertex_ids(items: Iterable, what: str) -> set:
     """The set of ``items``, naming the first one that is not hashable."""
     out = set()
@@ -209,8 +218,8 @@ class Gf2Matrix:
     __slots__ = ("_labels", "_pos", "_rows")
 
     def __init__(self, labels: Sequence[Label], rows: Sequence[int]):
-        labels = tuple(labels)
-        rows = tuple(_index(r, "row") for r in rows)
+        labels = _items(labels, "labels")
+        rows = tuple(_index(r, "row") for r in _items(rows, "rows"))
         n = len(labels)
         if len(_vertex_ids(labels, "label")) != n:
             raise InputError("duplicate labels")
@@ -243,9 +252,9 @@ class Gf2Matrix:
     def from_dense(cls, labels: Sequence[Label], entries: Sequence[Sequence[int]]) -> "Gf2Matrix":
         """Build from a dense 0/1 row-of-rows table."""
         rows = []
-        for row in entries:
+        for i, row in enumerate(_items(entries, "entries")):
             bits = 0
-            for j, x in enumerate(row):
+            for j, x in enumerate(_items(row, f"entries[{i}]")):
                 b = _index(x, "entry")
                 if b not in (0, 1):
                     raise InputError(f"entry {x!r} is not a bit")
@@ -291,7 +300,7 @@ class Gf2Matrix:
 
     def principal_submatrix(self, keep: Iterable[Label]) -> "Gf2Matrix":
         """Restrict to the rows and columns in ``keep``, preserving label order."""
-        return self._submatrix(_mask(self._positions(keep, "label")))
+        return self._submatrix(_mask(self._positions(_items(keep, "keep"), "label")))
 
     def _submatrix(self, live: int) -> "Gf2Matrix":
         """Principal submatrix on the positions in the bitmask ``live``."""
@@ -344,7 +353,7 @@ class Gf2Matrix:
         Raises:
             SingularPivotError: when det of the principal submatrix is 0.
         """
-        return self._ppt(_mask(self._positions(pivot_set, "label")))
+        return self._ppt(_mask(self._positions(_items(pivot_set, "pivot_set"), "label")))
 
     def _ppt(self, live: int) -> "Gf2Matrix":
         """Principal pivot transform on the positions in the bitmask ``live``."""

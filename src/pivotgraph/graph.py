@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 from .errors import InputError, NotApplicableError
-from .gf2 import Gf2Matrix, _compress, _mask, _ones, _vertex_ids
+from .gf2 import Gf2Matrix, _compress, _items, _mask, _ones, _vertex_ids
 
 __all__ = [
     "Graph",
@@ -29,10 +29,10 @@ class Graph:
     __slots__ = ("_matrix",)
 
     def __init__(self, vertices: Iterable = (), edges: Iterable = (), loops: Iterable = ()):
-        verts = _vertex_ids(vertices, "vertex id")
-        loop_set = _vertex_ids(loops, "loop carrier")
+        verts = _vertex_ids(_items(vertices, "vertices"), "vertex id")
+        loop_set = _vertex_ids(_items(loops, "loops"), "loop carrier")
         pairs = []
-        for e in edges:
+        for e in _items(edges, "edges"):
             try:
                 u, v = e
                 verts.add(u)
@@ -113,7 +113,7 @@ class Graph:
         return self._matrix.rows[i] >> j & 1
 
     def induced_subgraph(self, keep: Iterable) -> "Graph":
-        return Graph._of(self._matrix._submatrix(_mask(self._positions(keep))))
+        return Graph._of(self._matrix._submatrix(_mask(self._positions(_items(keep, "keep")))))
 
     def adjacency_matrix(self) -> Gf2Matrix:
         """Symmetric GF(2) matrix with edge bits off-diagonal and loop bits on it."""
@@ -230,7 +230,7 @@ def overlap_graph(word) -> Graph:
     occurrence of the second lies strictly between the two occurrences of
     the first).
     """
-    symbols = word.split() if isinstance(word, str) else list(word)
+    symbols = word.split() if isinstance(word, str) else _items(word, "word")
     toks = _sorted_ids(_vertex_ids(symbols, "symbol"))
     spans = {}
     for pos, s in enumerate(symbols):

@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from .errors import InputError
-from .gf2 import Gf2Matrix, _compress
+from .gf2 import Gf2Matrix, _compress, _items
 from .graph import Graph
 
 __all__ = ["pm_parity", "general_pm_parity", "pm_multiset"]
@@ -43,7 +43,7 @@ def pm_multiset(G: Graph, args: Sequence) -> int:
     parity of the graph on the positions joined where sim is 1, hence the
     determinant of the sim matrix of the arguments with its diagonal cleared.
     """
-    args = tuple(args)
+    args = _items(args, "args")
     n = len(args)
     if n % 2:
         raise InputError(f"pm_multiset needs an even number of arguments, got {n}")

@@ -13,7 +13,7 @@ from collections.abc import Iterable
 from typing import Hashable, Optional, Union
 
 from .errors import InputError, NotApplicableError, SingularPivotError, UnsupportedSizeError
-from .gf2 import Gf2Matrix, _mask, _ones, _pivot_out, _vertex_ids, _walk_nonsingular
+from .gf2 import Gf2Matrix, _items, _mask, _ones, _pivot_out, _vertex_ids, _walk_nonsingular
 from .graph import Graph, loop_complement, pivot
 
 __all__ = [
@@ -108,7 +108,7 @@ Op = Union[Pivot, LocalComp]
 
 
 def _validated(G: Optional[Graph], seq: Iterable) -> tuple:
-    ops = tuple(seq)
+    ops = _items(seq, "seq")
     for op in ops:
         if not isinstance(op, (Pivot, LocalComp)):
             raise InputError(f"not an operation: {op!r}")
@@ -167,7 +167,8 @@ def is_support_applicable(G: Graph, subset: Iterable) -> bool:
     Equivalent to the principal submatrix of the adjacency matrix on the
     subset having determinant 1.
     """
-    return not _pivot_out(list(G.adjacency_matrix().rows), _mask(G._positions(subset)))[1]
+    live = _mask(G._positions(_items(subset, "subset")))
+    return not _pivot_out(list(G.adjacency_matrix().rows), live)[1]
 
 
 def apply_support(G: Graph, subset: Iterable) -> Graph:
@@ -179,7 +180,7 @@ def apply_support(G: Graph, subset: Iterable) -> Graph:
     Raises:
         NotApplicableError: when det(A[S]) = 0, i.e. no such sequence exists.
     """
-    live = _mask(G._positions(subset))
+    live = _mask(G._positions(_items(subset, "subset")))
     try:
         # the ppt keeps G's sorted labels
         return Graph._of(G.adjacency_matrix()._ppt(live))
@@ -200,7 +201,7 @@ def synthesize_reduced(G: Graph, subset: Iterable, anchor=None) -> tuple:
         NotApplicableError: when det(A[S]) = 0, or when an anchor is given
             and no applicable operation touches it.
     """
-    items = tuple(subset)
+    items = _items(subset, "subset")
     pos = G._positions(items)
     live = _mask(pos)
     if anchor is not None and anchor not in items:

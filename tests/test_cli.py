@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from pivotgraph import cli
+from pivotgraph import cli, formats
 from helpers import argv_corpus, build_parser
 
 P3 = "a b\nb c\n"
@@ -183,6 +183,11 @@ def test_overlap_pivot_pipeline(run):
 def test_witness(run):
     assert run(["witness"], K3) == (0, "a,b,c\n", "")
     assert run(["witness"], P4) == (0, "none\n", "")
+    # "none" is the answer for a nonsingular graph, so the witness {none},
+    # the only one of the graph with the one vertex none, is refused
+    assert run(["witness"], "a b\n") == (0, "none\n", "")
+    message = "error: vertex id 'none' cannot be written as a witness set\n"
+    assert run(["witness"], "vertex none\n") == (2, "", message)
 
 
 def test_writers_refuse_vertices_that_do_not_read_back(run):
@@ -387,3 +392,69 @@ def test_reader_agrees_with_argparse_oracle():
     assert [argv for argv, want, got in zip(corpus, wants, gots) if want != got] == []
     accepted = sum(isinstance(want, dict) for want in wants)
     assert 0.5 * len(corpus) < accepted < 0.9 * len(corpus)
+
+
+# one successful request per command, with the graph it reads
+ANSWERED = [
+    (["det"], P4),
+    (["pm"], K3),
+    (["pivot", "a", "b"], P3),
+    (["lc", "b"], P3),
+    (["apply", "--seq", "[a b]"], P3),
+    (["apply-support", "--set", "a,b"], P3),
+    (["applicable", "--set", "a,c"], P3),
+    (["reduce", "--set", "a,b,c,d"], P4),
+    (["reduce-to-empty"], "vertex a\n"),
+    (["orbit"], P3),
+    (["count-supports"], P4),
+    (["overlap", "--word", "1 2 1 2"], ""),
+    (["witness"], K3),
+]
+
+
+@pytest.mark.parametrize("argv, doc", ANSWERED, ids=[argv[0] for argv, _ in ANSWERED])
+def test_handler_returns_its_answer_and_writes_nothing(run, capsys, argv, doc):
+    code, printed, _ = run(argv, doc)
+    assert code == 0
+    args = cli.parse_args(argv)
+    G = None if argv[0] == "overlap" else formats.parse_graph(doc)
+    assert args.func(G, args) == printed
+    assert capsys.readouterr() == ("", "")
+
+
+# requests refused after the graph is read; det and pm refuse no parsed
+# graph, so theirs are refused by the reader
+REFUSED = [
+    (["det"], b"a b\n\xff", 2),
+    (["pm"], "a b\nb a\n", 2),
+    (["pivot", "a", "x"], P3, 2),
+    (["pivot", "a", "c"], P3, 1),
+    (["lc", "x"], P3, 2),
+    (["lc", "a"], "a b\nloop b\n", 1),
+    (["apply", "--seq", "[a b"], P3, 2),
+    (["apply", "--seq", "[a b] [b c]"], P3, 1),
+    (["apply-support", "--set", "a,,b"], P3, 2),
+    (["apply-support", "--set", "a,c"], P3, 1),
+    (["applicable", "--seq", "a b"], P3, 2),
+    (["applicable", "--set", "a,x"], P3, 2),
+    (["reduce", "--set", "a],b"], "a] b\n", 2),
+    (["reduce", "--set", "a,c"], P3, 1),
+    (["reduce-to-empty"], "a] b\n", 2),
+    (["orbit"], "".join(f"vertex v{i}\n" for i in range(13)), 1),
+    (["count-supports"], "".join(f"vertex v{i}\n" for i in range(25)), 1),
+    (["overlap", "--word", "a# b a# b"], "", 2),
+    (["overlap", "--word", "1 2 1"], "", 2),
+    (["witness"], "vertex x,y\n", 2),
+]
+
+
+@pytest.mark.parametrize("argv, doc, code", REFUSED, ids=[" ".join(r[0]) for r in REFUSED])
+def test_refused_request_writes_only_the_error(run, argv, doc, code):
+    got, out, err = run(argv, doc)
+    assert (got, out) == (code, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_request_tables_cover_every_command():
+    for table in (ANSWERED, REFUSED):
+        assert {row[0][0] for row in table} == set(cli.COMMANDS)

@@ -2,12 +2,15 @@
 
 An argument that is not a vertex (a label, for ``Gf2Matrix``) raises
 ``InputError``; among several, the message names the smallest ``repr``, and
-an unhashable argument is not a vertex rather than a ``TypeError``.
+an unhashable argument is not a vertex rather than a ``TypeError``.  A
+collection argument that is not iterable raises ``InputError`` naming the
+argument.
 """
 
 import pytest
 
 from pivotgraph import (
+    Gf2Matrix,
     Graph,
     InputError,
     LocalComp,
@@ -15,15 +18,18 @@ from pivotgraph import (
     apply,
     apply_support,
     check_commutation,
+    is_applicable,
     is_reduced,
     is_support_applicable,
     local_complement,
     loop_complement,
+    overlap_graph,
     pivot,
     pm_multiset,
     support,
     synthesize_reduced,
 )
+from pivotgraph.formats import serialize_opseq, serialize_vertex_set
 
 # the path a - b - c - d, simple, so every entry point reaches its lookup
 G = Graph(edges=[("a", "b"), ("b", "c"), ("c", "d")])
@@ -133,3 +139,42 @@ def test_calls_without_a_graph_name_an_unhashable_vertex(call):
     with pytest.raises(InputError) as err:
         call()
     assert str(err.value) == "vertex ['x'] is not hashable"
+
+
+@pytest.mark.parametrize(
+    "call, name, value",
+    [
+        pytest.param(lambda: Graph(vertices=5), "vertices", 5, id="Graph-vertices"),
+        pytest.param(lambda: Graph(edges=5), "edges", 5, id="Graph-edges"),
+        pytest.param(lambda: Graph(loops=5), "loops", 5, id="Graph-loops"),
+        pytest.param(lambda: Gf2Matrix(["a"], 5), "rows", 5, id="Gf2Matrix-rows"),
+        pytest.param(lambda: Gf2Matrix(5, [0]), "labels", 5, id="Gf2Matrix-labels"),
+        pytest.param(lambda: Gf2Matrix.from_dense(["a"], 5), "entries", 5, id="from_dense"),
+        pytest.param(lambda: Gf2Matrix.from_dense(["a"], [1]), "entries[0]", 1, id="from_dense-row"),
+        pytest.param(lambda: M.principal_submatrix(5), "keep", 5, id="principal_submatrix"),
+        pytest.param(lambda: M.ppt(5), "pivot_set", 5, id="ppt"),
+        pytest.param(lambda: G.induced_subgraph(5), "keep", 5, id="induced_subgraph"),
+        pytest.param(lambda: is_support_applicable(G, 5), "subset", 5, id="is_support_applicable"),
+        pytest.param(lambda: apply_support(G, 5), "subset", 5, id="apply_support"),
+        pytest.param(lambda: synthesize_reduced(G, 5), "subset", 5, id="synthesize_reduced"),
+        pytest.param(lambda: apply(G, 5), "seq", 5, id="apply"),
+        pytest.param(lambda: is_applicable(G, 5), "seq", 5, id="is_applicable"),
+        pytest.param(lambda: support(5), "seq", 5, id="support"),
+        pytest.param(lambda: is_reduced(5), "seq", 5, id="is_reduced"),
+        pytest.param(lambda: overlap_graph(5), "word", 5, id="overlap_graph"),
+        pytest.param(lambda: pm_multiset(G, 5), "args", 5, id="pm_multiset"),
+        pytest.param(lambda: serialize_opseq(5), "seq", 5, id="serialize_opseq"),
+        pytest.param(lambda: serialize_vertex_set(5), "vertices", 5, id="serialize_vertex_set"),
+    ],
+)
+def test_non_iterable_argument_is_named(call, name, value):
+    # these raised a bare TypeError ("'int' object is not iterable")
+    with pytest.raises(InputError) as err:
+        call()
+    assert str(err.value) == f"{name} is not iterable: {value!r}"
+
+
+def test_strings_keep_their_meaning():
+    # a string is a collection of its characters, except a word, which splits
+    assert M.principal_submatrix("ab") == M.principal_submatrix(["a", "b"])
+    assert overlap_graph("1 2 1 2") == Graph(edges=[("1", "2")])
