@@ -183,8 +183,8 @@ def test_overlap_pivot_pipeline(run):
 def test_witness(run):
     assert run(["witness"], K3) == (0, "a,b,c\n", "")
     assert run(["witness"], P4) == (0, "none\n", "")
-    # "none" is the answer for a nonsingular graph, so the witness {none},
-    # the only one of the graph with the one vertex none, is refused
+    # "none" is the answer for a nonsingular graph, so the set {none}, the
+    # only witness of the one-vertex graph on none, is refused
     assert run(["witness"], "a b\n") == (0, "none\n", "")
     message = "error: vertex id 'none' cannot be written as a witness set\n"
     assert run(["witness"], "vertex none\n") == (2, "", message)

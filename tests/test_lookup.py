@@ -168,7 +168,6 @@ def test_calls_without_a_graph_name_an_unhashable_vertex(call):
     ],
 )
 def test_non_iterable_argument_is_named(call, name, value):
-    # these raised a bare TypeError ("'int' object is not iterable")
     with pytest.raises(InputError) as err:
         call()
     assert str(err.value) == f"{name} is not iterable: {value!r}"
