@@ -27,12 +27,12 @@ one with whitespace, ``#`` or a keyword, ``[`` or ``]`` in a sequence, and
 from __future__ import annotations
 
 import re
+from binascii import a2b_base64
 from itertools import chain
-from operator import itemgetter
 
 from .errors import InputError, ParseError
 from .gf2 import Gf2Matrix, _items, _ones
-from .graph import Graph, _bit_rows
+from .graph import Graph, _bit_rows, _sorted_ids
 from .sequences import LocalComp, Pivot
 
 __all__ = [
@@ -50,8 +50,16 @@ GRAPH_FORMATS = ("edge-list", "graph6")
 _KEYWORDS = ("vertex", "loop")
 
 
+def _text(text, name: str) -> str:
+    """``text`` itself; InputError names ``name`` if it is not a str."""
+    if not isinstance(text, str):
+        raise InputError(f"{name} is not a str: {text!r}")
+    return text
+
+
 def parse_graph(text: str, fmt: str = "edge-list") -> Graph:
     """Parse a graph document in the named format."""
+    _text(text, "text")
     if fmt == "edge-list":
         return _parse_edge_list(text)
     if fmt == "graph6":
@@ -107,10 +115,12 @@ def _parse_edge_list(text: str) -> Graph:
     return Graph._of(Gf2Matrix._trusted(labels, rows))
 
 
-# graph6 bytes are 63..126; each carries six bits, high bit first
+# graph6 bytes are 63..126; each carries six bits, high bit first, as the
+# base64 character of the same value does
 _G6_RANGE = bytes(range(63, 127))
-_G6_VALUE = bytes.maketrans(_G6_RANGE, bytes(range(64)))
-_SIX_BITS = tuple(format(x, "06b") for x in range(64))
+_G6_BASE64 = bytes.maketrans(
+    _G6_RANGE, b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+)
 
 
 def _graph6_bytes(line: str) -> bytes:
@@ -162,16 +172,25 @@ def _parse_graph6(text: str) -> Graph:
     labels = tuple(map(str, order))
     if n < 2:
         return Graph._of(Gf2Matrix._trusted(labels, (0,) * n))
-    bits = "".join(map(_SIX_BITS.__getitem__, data[idx:].translate(_G6_VALUE)))
+    # pad to whole base64 quads with zero digits, then read the bits as text
+    payload = data[idx:].translate(_G6_BASE64)
+    payload += b"A" * (-len(payload) % 4)
+    value = int.from_bytes(a2b_base64(payload), "big")
+    bits = format(value, f"0{6 * len(payload)}b").encode("ascii")
     # the payload lists column j of the upper triangle, the entries (i, j)
-    # with i < j, as one slice; lower[j] is row j left of the diagonal, and
-    # its transpose is each row right of the diagonal
-    lower = [bits[j * (j - 1) // 2 : j * (j + 1) // 2] + "0" * (n - j) for j in range(n)]
-    upper = map("".join, zip(*lower))
-    full = [low[:i] + up[i:] for i, (low, up) in enumerate(zip(lower, upper))]
-    # character p of a picked row is column order[p], highest position first
-    pick = itemgetter(*reversed(order))
-    rows = tuple(int("".join(pick(full[i])), 2) for i in order)
+    # with i < j, as one slice: lay it left of the diagonal in row j of the
+    # n x n matrix m, then copy each column below the diagonal into its row
+    # right of the diagonal with one strided slice
+    m = bytearray(b"0") * (n * n)
+    for j in range(1, n):
+        m[j * n : j * n + j] = bits[j * (j - 1) // 2 : j * (j + 1) // 2]
+    for i in range(n - 1):
+        m[i * n + i + 1 : (i + 1) * n] = m[(i + 1) * n + i :: n]
+    # stack the rows highest position first; as m is symmetric, column v of
+    # the stack is row v with its columns in that order, the bit string of
+    # row v with bit p at column order[p]
+    stack = b"".join([m[v * n : (v + 1) * n] for v in reversed(order)])
+    rows = tuple(int(stack[v::n], 2) for v in order)
     return Graph._of(Gf2Matrix._trusted(labels, rows))
 
 
@@ -205,7 +224,7 @@ _BRACKET = re.compile(r"\[([^\[\]]*)\]")
 def parse_opseq(text: str):
     """Parse bracket groups into a tuple of operations."""
     ops = []
-    rest = _BRACKET.sub(" ", text)
+    rest = _BRACKET.sub(" ", _text(text, "text"))
     if rest.split():
         raise ParseError(f"stray text outside brackets: {rest.split()[0]!r}")
     for m in _BRACKET.finditer(text):
@@ -235,7 +254,7 @@ def serialize_opseq(seq) -> str:
 
 def parse_vertex_set(text: str) -> frozenset:
     """Comma-separated vertex tokens; the empty string is the empty set."""
-    if not text.strip():
+    if not _text(text, "text").strip():
         return frozenset()
     out = []
     for part in text.split(","):
@@ -248,4 +267,4 @@ def parse_vertex_set(text: str) -> frozenset:
 
 def serialize_vertex_set(vertices) -> str:
     """Sorted comma-separated tokens; inverse of parse_vertex_set."""
-    return ",".join(_token(v, "#,") for v in sorted(_items(vertices, "vertices")))
+    return ",".join(_token(v, "#,") for v in _sorted_ids(_items(vertices, "vertices")))

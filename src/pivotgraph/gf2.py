@@ -71,6 +71,53 @@ def _index(x, what: str) -> int:
         raise InputError(f"{what} {x!r} is not an integer") from None
 
 
+# A walk over at least this many positions batches its row updates (see
+# _pivot_out).  On dense random matrices (p = 1/2, 0 % and 30 % loops, one
+# row per position) batching loses below about 80 positions, is 1.1-1.2x
+# faster at 80-100 and 1.4x at 128; walks shorter than 128 stay on the
+# direct loop.
+BATCH_MIN = 128
+
+# The positions taken in one batch lie in at most this many consecutive
+# columns, so that one 16-bit window of a row indexes both tables of a flush.
+_SPAN = 16
+
+
+def _table(rows: list, base: int, bits: int) -> list:
+    """256 entries: entry i XORs rows[t] ^ 1 << t over the bits t - base of ``i & bits``."""
+    tab = [0]
+    for j in range(8):
+        if bits >> j & 1:
+            t = base + j
+            add = rows[t] ^ 1 << t
+            tab += [e ^ add for e in tab]
+        else:
+            tab += tab
+    return tab
+
+
+def _flush(rows: list, taken: int, fresh: int) -> None:
+    """Bring the rows outside the bitmask ``fresh`` up to date, in place.
+
+    ``rows`` holds A*T on the rows in ``fresh``, which contains T = ``taken``,
+    and on the others A, the matrix as at the last flush.  For x outside T, row x of A*T is row x of A with its
+    T bits cleared plus the rows t of A*T for the bits t of x in T.  T spans
+    at most ``_SPAN`` columns, or is one block of two positions, so it lies in
+    two 8-column windows, at a and at b, and the sum is two table lookups
+    indexed by one window of each row from column a.
+    """
+    a = (taken & -taken).bit_length() - 1
+    rest = taken & ~(255 << a)
+    b = (rest & -rest).bit_length() - 1 if rest else a + 8
+    ta, tb = _table(rows, a, taken >> a & 255), _table(rows, b, rest >> b & 255)
+    d = b - a
+    window = (256 << d) - 1
+    keep = [(x, rows[x]) for x in _ones(fresh)]
+    rows[:] = [r ^ ta[(i := r >> a & window) & 255] ^ tb[i >> d] for r in rows]
+    for x, r in keep:
+        rows[x] = r
+
+
 def _pivot_out(rows: list, live: int, first: Optional[int] = None) -> tuple:
     """Pivot the positions in the bitmask ``live`` out of ``rows``, in place.
 
@@ -83,6 +130,12 @@ def _pivot_out(rows: list, live: int, first: Optional[int] = None) -> tuple:
     left over when det of the submatrix on ``live`` is 0, or when ``first``
     finds no block.
 
+    A walk over at least ``BATCH_MIN`` positions takes the same blocks but
+    batches the updates, after the Method of Four Russians: it keeps the
+    rows of the positions taken since the last flush, and the rows the pick
+    reads, up to date, and brings every other row up to date at a flush by
+    two table lookups (see ``_flush``) in place of one pass per block.
+
     Returns:
         (blocks, left): the blocks taken, each a tuple of one position or
         two ascending ones, and the bitmask of the positions left over.
@@ -92,50 +145,89 @@ def _pivot_out(rows: list, live: int, first: Optional[int] = None) -> tuple:
     for p in _ones(live):
         diag |= rows[p] & 1 << p
     blocks = []
+    batch = live.bit_count() >= BATCH_MIN
+    # batched: the positions taken since the last flush, and the rows up to
+    # date since then (``taken`` among them); other rows are as at the flush
+    taken = fresh = 0
+
+    def read(y: int) -> int:
+        nonlocal fresh
+        if batch and not fresh >> y & 1:
+            r = rows[y]
+            hit = r & taken
+            r ^= hit
+            for t in _ones(hit):
+                r ^= rows[t]
+            rows[y] = r
+            fresh |= 1 << y
+        return rows[y]
+
     while live:
         looped = diag & (live if first is None else 1 << first)
         if looped:
-            low = looped & -looped
-            v = low.bit_length() - 1
-            # neighbours x of v gain row v off column v, toggling their loops;
-            # row v is restored after the scan
-            rv = rows[v]
-            off = rv ^ low
-            for x, r in enumerate(rows):
-                if r & low:
-                    rows[x] = r ^ off
-            rows[v] = rv
-            diag ^= off
-            live ^= low
-            blocks.append((v,))
+            block = looped & -looped
+            v = block.bit_length() - 1
         else:
             for u in _ones(live) if first is None else (first,):
-                nbrs = rows[u] & live & ~diag
+                nbrs = read(u) & live & ~diag
                 if nbrs:
                     break
             else:
                 # no block: the rest is singular, or ``first`` has no partner
                 break
             w = (nbrs & -nbrs).bit_length() - 1
+            block = 1 << u | 1 << w
+        if taken:
+            # flush first if the block would widen the batch past _SPAN columns
+            span = taken | block
+            if span.bit_length() - (span & -span).bit_length() >= _SPAN:
+                _flush(rows, taken, fresh)
+                taken = fresh = 0
+        if looped:
+            # neighbours x of v gain row v off column v, toggling their loops
+            rv = read(v)
+            off = rv ^ block
+            if batch:
+                for x in _ones(off & fresh):
+                    rows[x] ^= off
+            else:
+                # row v is restored after the scan
+                for x, r in enumerate(rows):
+                    if r & block:
+                        rows[x] = r ^ off
+                rows[v] = rv
+            diag ^= off
+            blocks.append((v,))
+        else:
             # P = [[0, 1], [1, 0]] = P^-1: rows u and w trade their off-block
             # parts, and a neighbour of u (of w) adds row w (row u) with the
-            # two pivot columns swapped; rows u and w are set after the scan
-            ru, rw = rows[u], rows[w]
+            # two pivot columns swapped; rows u and w are set last
+            ru, rw = read(u), read(w)
             bu, bw = 1 << u, 1 << w
-            both = bu | bw
             add_w, add_u = rw ^ bw, ru ^ bu
-            for x, r in enumerate(rows):
-                hit = r & both
-                if hit:
-                    if hit & bu:
-                        r ^= add_w
-                    if hit & bw:
-                        r ^= add_u
-                    rows[x] = r
-            rows[u], rows[w] = rw ^ both, ru ^ both
-            live ^= both
+            if batch:
+                others = fresh & ~block
+                for x in _ones(ru & others):
+                    rows[x] ^= add_w
+                for x in _ones(rw & others):
+                    rows[x] ^= add_u
+            else:
+                for x, r in enumerate(rows):
+                    hit = r & block
+                    if hit:
+                        if hit & bu:
+                            r ^= add_w
+                        if hit & bw:
+                            r ^= add_u
+                        rows[x] = r
+            rows[u], rows[w] = rw ^ block, ru ^ block
             blocks.append((u, w) if u < w else (w, u))
+        live ^= block
+        if batch:
+            taken |= block
         first = None
+    if taken:
+        _flush(rows, taken, fresh)
     return blocks, live
 
 

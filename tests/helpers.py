@@ -109,6 +109,54 @@ def rank_by_elimination(m):
     return rank
 
 
+def ppt_by_block_inverse(m, subset):
+    """The principal pivot transform of ``m`` on the labels ``subset``, or None.
+
+    Inverts the block P on the subset by Gauss-Jordan elimination of
+    [P | I] and assembles [[P^-1, P^-1 Q], [Q^T P^-1, S + Q^T P^-1 Q]]
+    entry by entry, with Q the subset's rows on the other columns.  None
+    when P is singular.
+    """
+    n = m.order
+    dense = m.to_dense()
+    xs = sorted(m.labels.index(v) for v in subset)
+    rest = [y for y in range(n) if y not in xs]
+    k = len(xs)
+    # row i of [P | I] as an int: bit j < k is P[i, j], bit k + i is I[i, i]
+    aug = [sum(dense[a][b] << j for j, b in enumerate(xs)) | 1 << (k + i) for i, a in enumerate(xs)]
+    for col in range(k):
+        piv = next((i for i in range(col, k) if aug[i] >> col & 1), None)
+        if piv is None:
+            return None
+        aug[col], aug[piv] = aug[piv], aug[col]
+        aug = [r ^ aug[col] if i != col and r >> col & 1 else r for i, r in enumerate(aug)]
+    inv = [[r >> (k + j) & 1 for j in range(k)] for r in aug]
+    # P^-1 Q: row i adds the rows Q[l] for the entries P^-1[i, l] = 1
+    q = [[dense[a][y] for y in rest] for a in xs]
+    inv_q = []
+    for i in range(k):
+        acc = [0] * len(rest)
+        for l in range(k):
+            if inv[i][l]:
+                acc = [a ^ b for a, b in zip(acc, q[l])]
+        inv_q.append(acc)
+    out = [[0] * n for _ in range(n)]
+    for i, a in enumerate(xs):
+        for j, b in enumerate(xs):
+            out[a][b] = inv[i][j]
+        for c, y in enumerate(rest):
+            out[a][y] = out[y][a] = inv_q[i][c]
+    # S + Q^T P^-1 Q: row x adds the rows l of P^-1 Q where Q[l, x] = 1
+    for c, x in enumerate(rest):
+        acc = [0] * len(rest)
+        for l in range(k):
+            if q[l][c]:
+                acc = [a ^ b for a, b in zip(acc, inv_q[l])]
+        for e, y in enumerate(rest):
+            out[x][y] = dense[x][y] ^ acc[e]
+    return type(m).from_dense(m.labels, out)
+
+
 def minor_bruteforce(G, subset):
     """det of the adjacency matrix of G on ``subset``, by permutation expansion."""
     return det_bruteforce(G.induced_subgraph(subset).adjacency_matrix())

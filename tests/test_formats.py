@@ -150,8 +150,9 @@ def test_graph6_long_form_order():
 def test_graph6_against_networkx():
     rng = random.Random(32)
     # 62 is the last one-byte order; 100 has three-digit labels, so string
-    # order differs from numeric order well into the rows
-    sizes = [rng.randint(0, 12) for _ in range(40)] + [62, 63, 64, 100]
+    # order differs from numeric order well into the rows; 500 and 1000 are
+    # the dense sizes the benchmark reads
+    sizes = [rng.randint(0, 12) for _ in range(40)] + [62, 63, 64, 100, 500, 1000]
     for n in sizes:
         nxg = nx.gnp_random_graph(n, 0.4, seed=rng.randint(0, 10**6))
         encoded = nx.to_graph6_bytes(nxg).decode()
@@ -187,6 +188,24 @@ def test_graph6_errors(doc, message):
     with pytest.raises(ParseError) as err:
         parse_graph(doc, fmt="graph6")
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "parse, text",
+    [
+        (parse_graph, b"a b"),
+        (parse_graph, None),
+        (lambda text: parse_graph(text, fmt="graph6"), b"Bw"),
+        (parse_opseq, 5),
+        (parse_opseq, b"[a b]"),
+        (parse_vertex_set, 5),
+        (parse_vertex_set, ["a"]),
+    ],
+)
+def test_parsers_refuse_what_is_not_text(parse, text):
+    with pytest.raises(InputError) as err:
+        parse(text)
+    assert str(err.value) == f"text is not a str: {text!r}"
 
 
 def test_opseq_round_trip():
@@ -231,6 +250,13 @@ def test_vertex_set_round_trip():
     assert serialize_vertex_set({3, 1}) == "1,3"
     for s in (set(), {"a"}, {"a]", "[b", "c-d"}):
         assert parse_vertex_set(serialize_vertex_set(s)) == s
+
+
+def test_serialize_vertex_set_names_ids_that_do_not_compare():
+    # sorted by the one label-order rule that Graph(...) uses
+    with pytest.raises(InputError) as err:
+        serialize_vertex_set([1, "a"])
+    assert str(err.value) == "vertex ids 'a' and 1 cannot be ordered"
 
 
 def test_parse_vertex_set():

@@ -3,8 +3,15 @@ import random
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from pivotgraph import Gf2Matrix, InputError, SingularPivotError
-from helpers import all_symmetric_matrices, det_bruteforce, rank_by_elimination
+from pivotgraph import Gf2Matrix, InputError, NotApplicableError, SingularPivotError, gf2
+from pivotgraph.sequences import synthesize_reduced
+from helpers import (
+    all_symmetric_matrices,
+    det_bruteforce,
+    ppt_by_block_inverse,
+    random_loop_graph,
+    rank_by_elimination,
+)
 
 
 def mat(labels, dense):
@@ -334,3 +341,85 @@ def test_det_and_kernel_witness_match_elimination_rank(m):
         assert w
         for v in m.labels:
             assert sum(m.entry(v, s) for s in w) % 2 == 0
+
+
+# values of gf2.BATCH_MIN that force each update mode of the pivot-out walk
+DIRECT, BATCHED = 10**9, 0
+MODES = [pytest.param(DIRECT, id="direct"), pytest.param(BATCHED, id="batched")]
+
+
+def random_rows(rng, n, p, loop_p):
+    rows = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < p:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+        if rng.random() < loop_p:
+            rows[i] |= 1 << i
+    return rows
+
+
+def test_pivot_out_modes_take_the_same_blocks_and_rows(monkeypatch):
+    # sparse rows give 2x2 blocks whose ends are 16 or more columns apart
+    rng = random.Random(2026)
+    for k in range(80):
+        n = rng.randint(5, 60) if k % 4 else rng.randint(61, 300)
+        rows = random_rows(rng, n, rng.choice((0.5, 0.1, 0.02)), rng.choice((0.0, 0.3)))
+        live = rng.getrandbits(n) if rng.random() < 0.5 else (1 << n) - 1
+        first = rng.choice(list(gf2._ones(live))) if live and rng.random() < 0.5 else None
+        results = []
+        for mode in (DIRECT, BATCHED):
+            monkeypatch.setattr(gf2, "BATCH_MIN", mode)
+            out = list(rows)
+            results.append((gf2._pivot_out(out, live, first), out))
+        assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_large_walks_match_independent_oracles(monkeypatch, mode):
+    # orders above the default BATCH_MIN, checked in each mode against the
+    # Gauss-Jordan rank, the block-inverse ppt and the witness's definition
+    monkeypatch.setattr(gf2, "BATCH_MIN", mode)
+    rng = random.Random(130)
+    seen = set()
+    for n, p, loop_p in [(130, 0.5, 0.3), (160, 0.1, 0.0), (197, 0.5, 0.0), (230, 0.05, 0.3), (300, 0.5, 0.3)]:
+        m = Gf2Matrix(range(n), random_rows(rng, n, p, loop_p))
+        full = rank_by_elimination(m) == n
+        seen.add(full)
+        assert m.det() == full
+        w = m.kernel_witness()
+        if full:
+            assert w is None
+        else:
+            mask = gf2._mask(w)
+            assert w and all((r & mask).bit_count() % 2 == 0 for r in m.rows)
+        S = rng.sample(range(n), rng.randint(128, n))
+        expected = ppt_by_block_inverse(m, S)
+        seen.add(expected is None)
+        if expected is None:
+            with pytest.raises(SingularPivotError):
+                m.ppt(S)
+        else:
+            assert m.ppt(S) == expected
+    assert seen == {True, False}
+
+
+def test_synthesize_reduced_same_in_both_modes(monkeypatch):
+    rng = random.Random(128)
+    found = 0
+    for n, loop_p in [(140, 0.3), (150, 0.0), (180, 0.5)]:
+        G = random_loop_graph(rng, n, 0.5, loop_p)
+        for S in (G.vertices, *(rng.sample(G.vertices, 130) for _ in range(3))):
+            for anchor in (None, rng.choice(S)):
+                outs = []
+                for mode in (DIRECT, BATCHED):
+                    monkeypatch.setattr(gf2, "BATCH_MIN", mode)
+                    try:
+                        outs.append(synthesize_reduced(G, S, anchor))
+                    except NotApplicableError as err:
+                        outs.append(str(err))
+                assert outs[0] == outs[1]
+                found += isinstance(outs[0], tuple)
+    # sequences, not only refusals, were compared
+    assert found >= 6
