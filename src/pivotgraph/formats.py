@@ -32,7 +32,7 @@ from itertools import chain
 
 from .errors import InputError, ParseError
 from .gf2 import Gf2Matrix, _items, _ones
-from .graph import Graph, _bit_rows, _sorted_ids
+from .graph import Graph, _bit_rows, _expect, _sorted_ids
 from .sequences import LocalComp, Pivot
 
 __all__ = [
@@ -144,23 +144,14 @@ def _parse_graph6(text: str) -> Graph:
     data = _graph6_bytes(line)
     if not data:
         raise ParseError("empty graph6 payload")
-    if data[0] != 126:
-        n = data[0] - 63
-        idx = 1
-    elif len(data) >= 2 and data[1] != 126:
-        if len(data) < 4:
-            raise ParseError("truncated graph6 order")
-        n = 0
-        for b in data[1:4]:
-            n = (n << 6) | (b - 63)
-        idx = 4
-    else:
-        if len(data) < 8:
-            raise ParseError("truncated graph6 order")
-        n = 0
-        for b in data[2:8]:
-            n = (n << 6) | (b - 63)
-        idx = 8
+    # the order is 1, 3 or 6 digits after 0, 1 or 2 bytes of 126 ("~")
+    start = 0 if data[0] != 126 else 1 if data[1:2] != b"~" else 2
+    idx = start + (1, 3, 6)[start]
+    if len(data) < idx:
+        raise ParseError("truncated graph6 order")
+    n = 0
+    for b in data[start:idx]:
+        n = n << 6 | b - 63
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
     if len(data) - idx != nbytes:
@@ -203,7 +194,7 @@ def _token(label, reserved: str = "#") -> str:
 
 def serialize_graph(G: Graph) -> str:
     """Canonical edge-list document; round-trips through parse_graph."""
-    rows = G.adjacency_matrix().rows
+    rows = _expect(G, Graph).adjacency_matrix().rows
     toks = [_token(v) for v in G.vertices]
     # a vertex with an all-zero row has neither loop nor edge
     lines = [f"vertex {t}" for t, r in zip(toks, rows) if not r]

@@ -35,6 +35,14 @@ def _ones(bits: int) -> Iterator[int]:
         yield low.bit_length() - 1
 
 
+def _add(rows: list, hit: int, add: int) -> None:
+    """XOR ``add`` into the rows at the set bits of ``hit``, in place."""
+    while hit:
+        b = hit & -hit
+        hit ^= b
+        rows[b.bit_length() - 1] ^= add
+
+
 def _mask(positions: Iterable[int]) -> int:
     """Bitmask with a bit set at each of ``positions``."""
     live = 0
@@ -72,10 +80,11 @@ def _index(x, what: str) -> int:
 
 
 # A walk over at least this many positions batches its row updates (see
-# _pivot_out).  On dense random matrices (p = 1/2, 0 % and 30 % loops, one
-# row per position) batching loses below about 80 positions, is 1.1-1.2x
-# faster at 80-100 and 1.4x at 128; walks shorter than 128 stay on the
-# direct loop.
+# _pivot_out).  Over every position of dense random matrices (p = 1/2, 0 %
+# and 30 % loops, best of 7), batching runs 0.4x as fast as the direct walk
+# at 16 positions, 0.9x at 48, 1.1x at 64, 1.3x at 80 and 1.7-2.0x at 128.
+# The threshold sits above that crossover, so walks on graphs of fewer than
+# 128 vertices stay direct.
 BATCH_MIN = 128
 
 # The positions taken in one batch lie in at most this many consecutive
@@ -130,11 +139,13 @@ def _pivot_out(rows: list, live: int, first: Optional[int] = None) -> tuple:
     left over when det of the submatrix on ``live`` is 0, or when ``first``
     finds no block.
 
-    A walk over at least ``BATCH_MIN`` positions takes the same blocks but
-    batches the updates, after the Method of Four Russians: it keeps the
-    rows of the positions taken since the last flush, and the rows the pick
-    reads, up to date, and brings every other row up to date at a flush by
-    two table lookups (see ``_flush``) in place of one pass per block.
+    Each block updates only the rows in ``fresh``, which are kept up to
+    date; a direct walk starts with every row there.  A walk over at least
+    ``BATCH_MIN`` positions batches the updates, after the Method of Four
+    Russians: ``fresh`` starts empty and holds the rows of the positions
+    taken since the last flush and the rows the pick reads, and a flush
+    brings every other row up to date by two table lookups (see ``_flush``)
+    in place of one pass per block.
 
     Returns:
         (blocks, left): the blocks taken, each a tuple of one position or
@@ -146,13 +157,15 @@ def _pivot_out(rows: list, live: int, first: Optional[int] = None) -> tuple:
         diag |= rows[p] & 1 << p
     blocks = []
     batch = live.bit_count() >= BATCH_MIN
-    # batched: the positions taken since the last flush, and the rows up to
-    # date since then (``taken`` among them); other rows are as at the flush
-    taken = fresh = 0
+    # the positions taken since the last flush, and the rows up to date since
+    # then; other rows are as at the flush.  A direct walk never grows
+    # ``taken``, so it never flushes
+    taken = 0
+    fresh = 0 if batch else -1
 
     def read(y: int) -> int:
         nonlocal fresh
-        if batch and not fresh >> y & 1:
+        if not fresh >> y & 1:
             r = rows[y]
             hit = r & taken
             r ^= hit
@@ -185,41 +198,18 @@ def _pivot_out(rows: list, live: int, first: Optional[int] = None) -> tuple:
                 taken = fresh = 0
         if looped:
             # neighbours x of v gain row v off column v, toggling their loops
-            rv = read(v)
-            off = rv ^ block
-            if batch:
-                for x in _ones(off & fresh):
-                    rows[x] ^= off
-            else:
-                # row v is restored after the scan
-                for x, r in enumerate(rows):
-                    if r & block:
-                        rows[x] = r ^ off
-                rows[v] = rv
+            off = read(v) ^ block
+            _add(rows, off & fresh, off)
             diag ^= off
             blocks.append((v,))
         else:
             # P = [[0, 1], [1, 0]] = P^-1: rows u and w trade their off-block
             # parts, and a neighbour of u (of w) adds row w (row u) with the
-            # two pivot columns swapped; rows u and w are set last
+            # two pivot columns swapped; rows u and w, which the loops also
+            # touch, are set last
             ru, rw = read(u), read(w)
-            bu, bw = 1 << u, 1 << w
-            add_w, add_u = rw ^ bw, ru ^ bu
-            if batch:
-                others = fresh & ~block
-                for x in _ones(ru & others):
-                    rows[x] ^= add_w
-                for x in _ones(rw & others):
-                    rows[x] ^= add_u
-            else:
-                for x, r in enumerate(rows):
-                    hit = r & block
-                    if hit:
-                        if hit & bu:
-                            r ^= add_w
-                        if hit & bw:
-                            r ^= add_u
-                        rows[x] = r
+            _add(rows, ru & fresh, rw ^ 1 << w)
+            _add(rows, rw & fresh, ru ^ 1 << u)
             rows[u], rows[w] = rw ^ block, ru ^ block
             blocks.append((u, w) if u < w else (w, u))
         live ^= block
@@ -256,11 +246,7 @@ def _walk_nonsingular(rows: Sequence[int], rest: int, chosen: int, leaf) -> int:
             if rest:
                 # rank-one update: M[u] += M[u, v] M[v]
                 sub = list(rows)
-                hit = rv & rest
-                while hit:
-                    b = hit & -hit
-                    hit ^= b
-                    sub[b.bit_length() - 1] ^= rv
+                _add(sub, rv & rest, rv)
                 total += _walk_nonsingular(sub, rest, chosen | low, leaf)
             continue
         nbrs = rv & rest
@@ -277,19 +263,11 @@ def _walk_nonsingular(rows: Sequence[int], rest: int, chosen: int, leaf) -> int:
             # 2x2 update with P = [[0, 1], [1, d]], P^-1 = [[d, 1], [1, 0]]:
             # M[u] += M[u, w] M[v] + M[u, v] (M[w] + d M[v])
             rw = rows[wb.bit_length() - 1]
-            hit = rw & left
+            sub = list(rows)
+            _add(sub, rw & left, rv)
             if rw & wb:
                 rw ^= rv
-            sub = list(rows)
-            while hit:
-                b = hit & -hit
-                hit ^= b
-                sub[b.bit_length() - 1] ^= rv
-            hit = rv & left
-            while hit:
-                b = hit & -hit
-                hit ^= b
-                sub[b.bit_length() - 1] ^= rw
+            _add(sub, rv & left, rw)
             total += _walk_nonsingular(sub, left, chosen | low | wb, leaf)
     return total
 

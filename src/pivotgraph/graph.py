@@ -121,7 +121,7 @@ class Graph:
 
     @classmethod
     def from_adjacency_matrix(cls, m: Gf2Matrix) -> "Graph":
-        labels = _sorted_ids(m.labels)
+        labels = _sorted_ids(_expect(m, Gf2Matrix).labels)
         if labels == m.labels:
             return cls._of(m)
         pos = m._positions(labels, "label")
@@ -140,6 +140,13 @@ class Graph:
             f"Graph(vertices={list(self.vertices)!r}, "
             f"edges={list(self.edges)!r}, loops={sorted(self.loops)!r})"
         )
+
+
+def _expect(x, cls):
+    """``x`` itself; InputError if it is not a ``cls``."""
+    if not isinstance(x, cls):
+        raise InputError(f"expected a {cls.__name__}, got {x!r}")
+    return x
 
 
 def _sorted_ids(ids: Iterable) -> tuple:
@@ -178,7 +185,7 @@ def _bit_rows(labels: tuple, pairs: Iterable, loops: Iterable) -> tuple:
 
 def local_complement(G: Graph, u) -> Graph:
     """Complement the edges among the neighbors of u; simple graphs only."""
-    (i,) = G._positions((u,))
+    (i,) = _expect(G, Graph)._positions((u,))
     if not G.is_simple():
         raise InputError(
             "local_complement is defined on simple graphs; use loop_complement"
@@ -197,7 +204,7 @@ def loop_complement(G: Graph, u) -> Graph:
     Edges among the neighbors of u are complemented and the loop of every
     neighbor is toggled; u keeps its loop and its incident edges.
     """
-    (i,) = G._positions((u,))
+    (i,) = _expect(G, Graph)._positions((u,))
     if not G._matrix.rows[i] >> i & 1:
         raise NotApplicableError(f"loop_complement at {u!r}: vertex has no loop")
     return Graph._of(G._matrix._ppt(1 << i))
@@ -210,7 +217,7 @@ def pivot(G: Graph, u, v) -> Graph:
     the union of closed neighborhoods of u and v: the vertices seeing only
     u, only v, or both.  u and v stay adjacent and keep their labels.
     """
-    i, j = G._positions((u, v))
+    i, j = _expect(G, Graph)._positions((u, v))
     if i == j:
         raise InputError("pivot endpoints must be distinct")
     rows = G._matrix.rows

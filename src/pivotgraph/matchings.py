@@ -6,7 +6,7 @@ from collections.abc import Sequence
 
 from .errors import InputError
 from .gf2 import Gf2Matrix, _compress, _items
-from .graph import Graph
+from .graph import Graph, _expect
 
 __all__ = ["pm_parity", "general_pm_parity", "pm_multiset"]
 
@@ -19,7 +19,7 @@ def pm_parity(G: Graph) -> int:
     length 3 or more cancel against their reversals, and the fixed-point-free
     involutions left over are the perfect matchings.
     """
-    if not G.is_simple():
+    if not _expect(G, Graph).is_simple():
         raise InputError("pm_parity is defined on simple graphs; use general_pm_parity")
     return G.adjacency_matrix().det()
 
@@ -31,7 +31,7 @@ def general_pm_parity(G: Graph) -> int:
     that survive the cancellation in :func:`pm_parity` may now fix looped
     vertices.
     """
-    return G.adjacency_matrix().det()
+    return _expect(G, Graph).adjacency_matrix().det()
 
 
 def pm_multiset(G: Graph, args: Sequence) -> int:
@@ -47,7 +47,7 @@ def pm_multiset(G: Graph, args: Sequence) -> int:
     n = len(args)
     if n % 2:
         raise InputError(f"pm_multiset needs an even number of arguments, got {n}")
-    pos = G._positions(args)
+    pos = _expect(G, Graph)._positions(args)
     if pos and not G.is_simple():
         raise InputError("sim is defined on simple graphs; use adj_entry")
     # G is simple, so bit q of adj[p] | 1 << p is sim at p, q; bit i clears the diagonal

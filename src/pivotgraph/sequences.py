@@ -14,7 +14,7 @@ from typing import Hashable, Optional, Union
 
 from .errors import InputError, NotApplicableError, SingularPivotError, UnsupportedSizeError
 from .gf2 import Gf2Matrix, _items, _mask, _ones, _pivot_out, _vertex_ids, _walk_nonsingular
-from .graph import Graph, loop_complement, pivot
+from .graph import Graph, _expect, loop_complement, pivot
 
 __all__ = [
     "Pivot",
@@ -148,7 +148,7 @@ def is_applicable(G: Graph, seq: Iterable) -> bool:
 
 def apply(G: Graph, seq: Iterable) -> Graph:
     """Apply the sequence left to right, failing on the first inapplicable op."""
-    ops = _validated(G, seq)
+    ops = _validated(_expect(G, Graph), seq)
     H = G
     for i, op in enumerate(ops):
         try:
@@ -167,7 +167,7 @@ def is_support_applicable(G: Graph, subset: Iterable) -> bool:
     Equivalent to the principal submatrix of the adjacency matrix on the
     subset having determinant 1.
     """
-    live = _mask(G._positions(_items(subset, "subset")))
+    live = _mask(_expect(G, Graph)._positions(_items(subset, "subset")))
     return not _pivot_out(list(G.adjacency_matrix().rows), live)[1]
 
 
@@ -180,7 +180,7 @@ def apply_support(G: Graph, subset: Iterable) -> Graph:
     Raises:
         NotApplicableError: when det(A[S]) = 0, i.e. no such sequence exists.
     """
-    live = _mask(G._positions(_items(subset, "subset")))
+    live = _mask(_expect(G, Graph)._positions(_items(subset, "subset")))
     try:
         # the ppt keeps G's sorted labels
         return Graph._of(G.adjacency_matrix()._ppt(live))
@@ -202,7 +202,7 @@ def synthesize_reduced(G: Graph, subset: Iterable, anchor=None) -> tuple:
             and no applicable operation touches it.
     """
     items = _items(subset, "subset")
-    pos = G._positions(items)
+    pos = _expect(G, Graph)._positions(items)
     live = _mask(pos)
     if anchor is not None and anchor not in items:
         raise InputError(f"anchor {anchor!r} is not in the support set")
@@ -231,7 +231,7 @@ def reduce_to_empty(G: Graph) -> Optional[tuple]:
     empty graph.
     """
     try:
-        return synthesize_reduced(G, G.vertices)
+        return synthesize_reduced(G, _expect(G, Graph).vertices)
     except NotApplicableError:
         return None
 
@@ -244,7 +244,7 @@ def orbit(G: Graph) -> list:
     those subsets come from one walk of recursive Schur complements, and
     each result from one pivot-out walk on S.
     """
-    n = len(G.vertices)
+    n = len(_expect(G, Graph).vertices)
     if n > ORBIT_CAP:
         raise UnsupportedSizeError(
             f"orbit supports at most {ORBIT_CAP} vertices, got {n}"
@@ -277,7 +277,7 @@ def count_applicable_supports(G: Graph) -> int:
     subset costs at most one pass of row updates and the others cost
     nothing.
     """
-    n = len(G.vertices)
+    n = len(_expect(G, Graph).vertices)
     if n > COUNT_CAP:
         raise UnsupportedSizeError(
             f"count_applicable_supports supports at most {COUNT_CAP} vertices, got {n}"
@@ -295,7 +295,7 @@ def check_commutation(G: Graph, u, v, w, z) -> bool:
     det A[{u, v, w, z}] = 1, and so is uv of G[wz].
     """
     quad = (u, v, w, z)
-    i, j, k, l = pos = G._positions(quad)
+    i, j, k, l = pos = _expect(G, Graph)._positions(quad)
     if len(set(pos)) != 4:
         raise InputError("check_commutation needs four distinct vertices")
     rows = G.adjacency_matrix().rows

@@ -175,7 +175,9 @@ def test_graph6_against_networkx():
             ("B", "graph6 payload has 0 data byte(s), expected 1"),
             # extra payload byte
             ("Bww", "graph6 payload has 2 data byte(s), expected 1"),
+            ("~", "truncated graph6 order"),
             ("~?", "truncated graph6 order"),
+            ("~~", "truncated graph6 order"),
             ("~~??", "truncated graph6 order"),
             # bytes below and above the graph6 range
             ("B\x1fw", "invalid graph6 byte at offset 1"),

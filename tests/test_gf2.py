@@ -361,12 +361,20 @@ def random_rows(rng, n, p, loop_p):
 
 
 def test_pivot_out_modes_take_the_same_blocks_and_rows(monkeypatch):
-    # sparse rows give 2x2 blocks whose ends are 16 or more columns apart
+    # sparse rows give 2x2 blocks whose ends are 16 or more columns apart;
+    # from k = 80 on, walks over 1-16 positions of 130-500 rows, as pivot,
+    # lc, apply-support and anchored reduce send on large graphs
     rng = random.Random(2026)
-    for k in range(80):
-        n = rng.randint(5, 60) if k % 4 else rng.randint(61, 300)
-        rows = random_rows(rng, n, rng.choice((0.5, 0.1, 0.02)), rng.choice((0.0, 0.3)))
-        live = rng.getrandbits(n) if rng.random() < 0.5 else (1 << n) - 1
+    for k in range(104):
+        few = k >= 80
+        n = rng.randint(130, 500) if few else rng.randint(5, 60) if k % 4 else rng.randint(61, 300)
+        # dense rows for the few-position walks, so that most take blocks
+        p = 0.5 if few else rng.choice((0.5, 0.1, 0.02))
+        rows = random_rows(rng, n, p, rng.choice((0.0, 0.3)))
+        if few:
+            live = gf2._mask(rng.sample(range(n), rng.randint(1, 16)))
+        else:
+            live = rng.getrandbits(n) if rng.random() < 0.5 else (1 << n) - 1
         first = rng.choice(list(gf2._ones(live))) if live and rng.random() < 0.5 else None
         results = []
         for mode in (DIRECT, BATCHED):

@@ -4,7 +4,7 @@ An argument that is not a vertex (a label, for ``Gf2Matrix``) raises
 ``InputError``; among several, the message names the smallest ``repr``, and
 an unhashable argument is not a vertex rather than a ``TypeError``.  A
 collection argument that is not iterable raises ``InputError`` naming the
-argument.
+argument, and so does a graph argument that is not a ``Graph``.
 """
 
 import pytest
@@ -18,18 +18,23 @@ from pivotgraph import (
     apply,
     apply_support,
     check_commutation,
+    count_applicable_supports,
+    general_pm_parity,
     is_applicable,
     is_reduced,
     is_support_applicable,
     local_complement,
     loop_complement,
+    orbit,
     overlap_graph,
     pivot,
     pm_multiset,
+    pm_parity,
+    reduce_to_empty,
     support,
     synthesize_reduced,
 )
-from pivotgraph.formats import serialize_opseq, serialize_vertex_set
+from pivotgraph.formats import serialize_graph, serialize_opseq, serialize_vertex_set
 
 # the path a - b - c - d, simple, so every entry point reaches its lookup
 G = Graph(edges=[("a", "b"), ("b", "c"), ("c", "d")])
@@ -171,6 +176,35 @@ def test_non_iterable_argument_is_named(call, name, value):
     with pytest.raises(InputError) as err:
         call()
     assert str(err.value) == f"{name} is not iterable: {value!r}"
+
+
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        pytest.param(lambda g: pivot(g, "a", "b"), "Graph", id="pivot"),
+        pytest.param(lambda g: loop_complement(g, "a"), "Graph", id="loop_complement"),
+        pytest.param(lambda g: local_complement(g, "a"), "Graph", id="local_complement"),
+        pytest.param(lambda g: apply(g, []), "Graph", id="apply"),
+        pytest.param(lambda g: is_applicable(g, []), "Graph", id="is_applicable"),
+        pytest.param(lambda g: apply_support(g, ["a"]), "Graph", id="apply_support"),
+        pytest.param(lambda g: is_support_applicable(g, ["a"]), "Graph", id="is_support_applicable"),
+        pytest.param(lambda g: synthesize_reduced(g, ["a"]), "Graph", id="synthesize_reduced"),
+        pytest.param(reduce_to_empty, "Graph", id="reduce_to_empty"),
+        pytest.param(orbit, "Graph", id="orbit"),
+        pytest.param(count_applicable_supports, "Graph", id="count_applicable_supports"),
+        pytest.param(lambda g: check_commutation(g, "a", "b", "c", "d"), "Graph", id="check_commutation"),
+        pytest.param(pm_parity, "Graph", id="pm_parity"),
+        pytest.param(general_pm_parity, "Graph", id="general_pm_parity"),
+        pytest.param(lambda g: pm_multiset(g, ["a", "b"]), "Graph", id="pm_multiset"),
+        pytest.param(serialize_graph, "Graph", id="serialize_graph"),
+        pytest.param(Graph.from_adjacency_matrix, "Gf2Matrix", id="from_adjacency_matrix"),
+    ],
+)
+def test_non_graph_argument_is_named(call, expected):
+    # an entry point that takes a Graph (a Gf2Matrix) refuses anything else
+    with pytest.raises(InputError) as err:
+        call(5)
+    assert str(err.value) == f"expected a {expected}, got 5"
 
 
 def test_strings_keep_their_meaning():
