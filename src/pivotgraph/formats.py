@@ -31,9 +31,9 @@ from binascii import a2b_base64
 from itertools import chain
 
 from .errors import InputError, ParseError
-from .gf2 import Gf2Matrix, _items, _ones
+from .gf2 import Gf2Matrix, _items, _ones, _vertex_ids
 from .graph import Graph, _bit_rows, _expect, _sorted_ids
-from .sequences import LocalComp, Pivot
+from .sequences import LocalComp, Pivot, _validated
 
 __all__ = [
     "GRAPH_FORMATS",
@@ -161,8 +161,6 @@ def _parse_graph6(text: str) -> Graph:
     # vertex labels sort as strings ("10" < "2"): position p holds order[p]
     order = sorted(range(n), key=str)
     labels = tuple(map(str, order))
-    if n < 2:
-        return Graph._of(Gf2Matrix._trusted(labels, (0,) * n))
     # pad to whole base64 quads with zero digits, then read the bits as text
     payload = data[idx:].translate(_G6_BASE64)
     payload += b"A" * (-len(payload) % 4)
@@ -235,12 +233,9 @@ def parse_opseq(text: str):
 
 def serialize_opseq(seq) -> str:
     """Bracket-group form of a sequence; inverse of parse_opseq."""
-    parts = []
-    for op in _items(seq, "seq"):
-        if not isinstance(op, (Pivot, LocalComp)):
-            raise InputError(f"not an operation: {op!r}")
-        parts.append("[" + " ".join(_token(x, "#[]") for x in op._key()) + "]")
-    return " ".join(parts)
+    return " ".join(
+        "[" + " ".join(_token(x, "#[]") for x in op._key()) + "]" for op in _validated(None, seq)
+    )
 
 
 def parse_vertex_set(text: str) -> frozenset:
@@ -258,4 +253,5 @@ def parse_vertex_set(text: str) -> frozenset:
 
 def serialize_vertex_set(vertices) -> str:
     """Sorted comma-separated tokens; inverse of parse_vertex_set."""
-    return ",".join(_token(v, "#,") for v in _sorted_ids(_items(vertices, "vertices")))
+    ids = _vertex_ids(_items(vertices, "vertices"), "vertex")
+    return ",".join(_token(v, "#,") for v in _sorted_ids(ids))

@@ -221,19 +221,22 @@ def _pivot_out(rows: list, live: int, first: Optional[int] = None) -> tuple:
     return blocks, live
 
 
-def _walk_nonsingular(rows: Sequence[int], rest: int, chosen: int, leaf) -> int:
+def _walk_nonsingular(rows: Sequence[int], rest: int, leaf) -> int:
     """Count the non-empty sets T within ``rest`` with det(rows[T]) = 1.
 
-    ``rows`` holds a symmetric matrix, read only on the positions in the
-    bitmask ``rest``.  The lowest position v of ``rest`` is either left out,
-    or taken together with the rest of T by one Schur complement step, since
-    det(M[T]) = det(P) det((M / P)[T - P]) for the block P taken.  With a
-    loop on v, P = {v}.  Without one, a nonsingular T containing v must also
-    contain a neighbour w of v, so P = {v, w} (a block of det 1) for the
-    lowest such w in T: each neighbour in turn is taken and then dropped.
-    Each set T is reached exactly once; ``leaf``, when given, receives
-    ``chosen | T`` as a bitmask.  The empty set is the caller's to count.
+    ``rows`` holds a symmetric matrix A, read on the positions in the bitmask
+    ``rest``.  The lowest position v of ``rest`` is either left out, or taken
+    with the rest of T by one ppt step on a block P of det 1, and the walk
+    goes on in A*P, as det(A[T]) = det(A[P]) det((A*P)[T - P]) and
+    (A*P)*Q = A*(P | Q) for Q disjoint from P.  With a loop on v, P = {v}.
+    Without one, T must also contain a neighbour w of v, and P = {v, w} for
+    the lowest such w in T: each neighbour in turn is taken and then dropped.
+    Each T is reached once.  ``leaf``, when given, receives the rows of A*T
+    as a tuple, so every row is kept up to date; else only those in ``rest``
+    are.  The empty set is the caller's to count.
     """
+    # a step updates every row or those in ``rest``; ``or`` makes no new int, ``|`` would
+    every = 0 if leaf is None else -1
     total = 0
     while rest:
         low = rest & -rest
@@ -241,13 +244,15 @@ def _walk_nonsingular(rows: Sequence[int], rest: int, chosen: int, leaf) -> int:
         rv = rows[low.bit_length() - 1]
         if rv & low:
             total += 1
-            if leaf is not None:
-                leaf(chosen | low)
-            if rest:
-                # rank-one update: M[u] += M[u, v] M[v]
+            hit = every or rest
+            if hit:
+                # as in _pivot_out: neighbours x of v gain row v off column v
+                off = rv ^ low
                 sub = list(rows)
-                _add(sub, rv & rest, rv)
-                total += _walk_nonsingular(sub, rest, chosen | low, leaf)
+                _add(sub, off & hit, off)
+                if leaf is not None:
+                    leaf(tuple(sub))
+                total += _walk_nonsingular(sub, rest, leaf)
             continue
         nbrs = rv & rest
         left = rest
@@ -256,19 +261,23 @@ def _walk_nonsingular(rows: Sequence[int], rest: int, chosen: int, leaf) -> int:
             nbrs ^= wb
             left ^= wb
             total += 1
-            if leaf is not None:
-                leaf(chosen | low | wb)
-            if not left:
+            hit = every or left
+            if not hit:
                 break
-            # 2x2 update with P = [[0, 1], [1, d]], P^-1 = [[d, 1], [1, 0]]:
-            # M[u] += M[u, w] M[v] + M[u, v] (M[w] + d M[v])
-            rw = rows[wb.bit_length() - 1]
+            # P = [[0, 1], [1, d]] with d the loop on w, P^-1 = [[d, 1], [1, 0]]:
+            # a neighbour of w adds row v, one of v adds row w + d row v, each
+            # with its pivot bit set; d = 0 gives _pivot_out's updates
+            w = wb.bit_length() - 1
+            rw = rows[w]
             sub = list(rows)
-            _add(sub, rw & left, rv)
+            _add(sub, rw & hit, rv ^ low)
             if rw & wb:
-                rw ^= rv
-            _add(sub, rv & left, rw)
-            total += _walk_nonsingular(sub, left, chosen | low | wb, leaf)
+                rw ^= rv ^ low
+            _add(sub, rv & hit, rw ^ wb)
+            if leaf is not None:
+                sub[low.bit_length() - 1], sub[w] = rw ^ low ^ wb, rv ^ low ^ wb
+                leaf(tuple(sub))
+            total += _walk_nonsingular(sub, left, leaf)
     return total
 
 

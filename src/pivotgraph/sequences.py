@@ -240,9 +240,9 @@ def orbit(G: Graph) -> list:
     """All graphs reachable by applicable sequences, G included.
 
     One representative per labeled graph, sorted canonically.  Reachable
-    results are exactly the ppts A*S over the subsets S with det(A[S]) = 1;
-    those subsets come from one walk of recursive Schur complements, and
-    each result from one pivot-out walk on S.
+    results are exactly the ppts A*S over the subsets S with det(A[S]) = 1.
+    One walk over those subsets reaches each S by ppt steps on blocks of
+    det 1, and each member is read off the walk's rows at S.
     """
     n = len(_expect(G, Graph).vertices)
     if n > ORBIT_CAP:
@@ -252,11 +252,6 @@ def orbit(G: Graph) -> list:
     A = G.adjacency_matrix()
     seen = {A.rows}
 
-    def reach(mask: int) -> None:
-        rows = list(A.rows)
-        _pivot_out(rows, mask)
-        seen.add(tuple(rows))
-
     def key(rows: tuple) -> tuple:
         # the labels are sorted and distinct, so this orders like
         # (G.edges, sorted(G.loops)): each edge ij (bits j above i) as
@@ -264,7 +259,7 @@ def orbit(G: Graph) -> list:
         edges = tuple(i * n + j for i, r in enumerate(rows) for j in _ones(r & -(2 << i)))
         return edges, tuple(i for i, r in enumerate(rows) if r >> i & 1)
 
-    _walk_nonsingular(A.rows, (1 << n) - 1, 0, reach)
+    _walk_nonsingular(A.rows, (1 << n) - 1, seen.add)
     return [Graph._of(Gf2Matrix._trusted(A.labels, rows)) for rows in sorted(seen, key=key)]
 
 
@@ -273,16 +268,16 @@ def count_applicable_supports(G: Graph) -> int:
 
     Counts S with det(A[S]) = 1; the empty set always counts.  The minors
     are not taken one by one: a walk over the vertices branches on leaving
-    each out or taking it in by a Schur complement step, so each counted
-    subset costs at most one pass of row updates and the others cost
-    nothing.
+    each out or taking it in by one ppt step on a block of det 1, so each
+    counted subset costs at most one pass of row updates and the others
+    cost nothing.
     """
     n = len(_expect(G, Graph).vertices)
     if n > COUNT_CAP:
         raise UnsupportedSizeError(
             f"count_applicable_supports supports at most {COUNT_CAP} vertices, got {n}"
         )
-    return 1 + _walk_nonsingular(G.adjacency_matrix().rows, (1 << n) - 1, 0, None)
+    return 1 + _walk_nonsingular(G.adjacency_matrix().rows, (1 << n) - 1, None)
 
 
 def check_commutation(G: Graph, u, v, w, z) -> bool:

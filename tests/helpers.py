@@ -201,6 +201,12 @@ def orbit_bruteforce(G):
     return sorted(seen, key=lambda g: (g.edges, tuple(sorted(g.loops))))
 
 
+def stabilizer_bruteforce(G):
+    """The vertex sets X with det(A[X]) = 1 and A*X = A, one block-inverse ppt per subset."""
+    A = G.adjacency_matrix()
+    return [S for S in _vertex_subsets(G) if ppt_by_block_inverse(A, S) == A]
+
+
 def _pairings(items):
     if not items:
         yield ()

@@ -136,6 +136,7 @@ def test_graph6_known_values():
     path = parse_graph("Bg", fmt="graph6")
     assert path.edges == (("0", "1"), ("1", "2"))
     assert parse_graph("?", fmt="graph6") == Graph()
+    assert parse_graph("@", fmt="graph6") == Graph(["0"])
     assert parse_graph(">>graph6<<Bw\n", fmt="graph6") == k3
 
 
@@ -234,6 +235,10 @@ def test_serialize_opseq_validation():
         serialize_opseq([("a", "b")])
     with pytest.raises(InputError):
         serialize_opseq([LocalComp("has space")])
+    # admitted by the rule that support() and is_reduced() use
+    with pytest.raises(InputError) as err:
+        serialize_opseq([LocalComp([1])])
+    assert str(err.value) == "vertex [1] is not hashable"
 
 
 def test_writers_refuse_tokens_that_do_not_read_back():
@@ -244,12 +249,18 @@ def test_writers_refuse_tokens_that_do_not_read_back():
     with pytest.raises(InputError) as err:
         serialize_vertex_set({"a", "x,y"})
     assert str(err.value) == "vertex id 'x,y' cannot be written as a token"
+    # str([1]) would read back as the vertex '[1]'
+    with pytest.raises(InputError) as err:
+        serialize_vertex_set([[1]])
+    assert str(err.value) == "vertex [1] is not hashable"
 
 
 def test_vertex_set_round_trip():
     assert serialize_vertex_set(frozenset()) == ""
     assert serialize_vertex_set({"c", "a", "b"}) == "a,b,c"
     assert serialize_vertex_set({3, 1}) == "1,3"
+    # a set: a repeated vertex is written once
+    assert serialize_vertex_set(["b", "a", "b"]) == "a,b"
     for s in (set(), {"a"}, {"a]", "[b", "c-d"}):
         assert parse_vertex_set(serialize_vertex_set(s)) == s
 

@@ -431,3 +431,29 @@ def test_synthesize_reduced_same_in_both_modes(monkeypatch):
                 found += isinstance(outs[0], tuple)
     # sequences, not only refusals, were compared
     assert found >= 6
+
+
+def test_walk_nonsingular_hands_leaf_each_ppt_once():
+    # looped partners w of a loop-free v occur at 30 % and 60 % loops; the
+    # rows handed to the leaf must be A*T, for every T of det 1 exactly once
+    rng = random.Random(13)
+    partners = 0
+    for k in range(33):
+        n, loop_p = k % 11, (0.0, 0.3, 0.6)[k // 11]
+        rows = random_rows(rng, n, 0.5, loop_p)
+        m = Gf2Matrix(range(n), rows)
+        got = []
+        count = gf2._walk_nonsingular(rows, (1 << n) - 1, got.append)
+        expected = []
+        for mask in range(1, 1 << n):
+            T = list(gf2._ones(mask))
+            ppt = ppt_by_block_inverse(m, T)
+            if ppt is not None:
+                expected.append(ppt.rows)
+                # the walk's first block on T: {v, w} when v is loop-free
+                v = T[0]
+                w = min(gf2._ones(rows[v] & mask), default=v)
+                partners += w != v and rows[w] >> w & 1
+        assert sorted(got) == sorted(expected)
+        assert count == len(expected) == gf2._walk_nonsingular(rows, (1 << n) - 1, None)
+    assert partners

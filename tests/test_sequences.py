@@ -41,6 +41,7 @@ from helpers import (
     random_loop_graph,
     random_simple_graph,
     randomized_reduced_sequence,
+    stabilizer_bruteforce,
 )
 
 
@@ -412,6 +413,21 @@ def test_orbit_matches_oracle_random_loop_graphs(g):
     )
     for h in (g, relabeled):
         assert orbit(h) == orbit_bruteforce(h)
+
+
+def test_count_is_orbit_size_times_stabilizer_size():
+    # the supports that give one orbit member form a coset of Stab(A), the
+    # sets X with det(A[X]) = 1 and A*X = A
+    rng = random.Random(7)
+    graphs = [g for n in range(5) for g in all_loop_graphs(n)]
+    graphs += [random_loop_graph(rng, rng.randint(5, 7), rng.random(), rng.random()) for _ in range(300)]
+    larger = 0
+    for g in graphs:
+        stab = len(stabilizer_bruteforce(g))
+        assert count_applicable_supports(g) == len(orbit(g)) * stab
+        larger += stab > 1
+    # |Stab| > 1 on many of them, where the law says more than count == |orbit|
+    assert larger >= 600
 
 
 def test_count_cap():
