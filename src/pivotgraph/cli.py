@@ -92,7 +92,9 @@ def cmd_reduce_to_empty(G, args) -> str:
 
 
 def cmd_orbit(G, args) -> str:
-    return "\n".join(formats.serialize_graph(g) for g in sequences.orbit(G))
+    members = sequences.orbit(G)
+    toks = [formats._token(v) for v in G.vertices]  # every member has G's vertices
+    return "\n".join(formats._edge_list(toks, g.adjacency_matrix().rows) for g in members)
 
 
 def cmd_count_supports(G, args) -> str:

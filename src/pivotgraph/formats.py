@@ -9,8 +9,10 @@ Edge-list documents (read/write), one statement per line:
 
 Vertex tokens are arbitrary whitespace-free strings other than the two
 keywords.  Re-declaring an edge or a loop is an error.  Canonical output
-lists vertex lines, then loop lines, then edge lines, each group sorted;
-the empty graph serializes to the empty document.
+lists vertex lines, then loop lines, then edge lines, each group sorted,
+each line two tokens, one space and a newline; the empty graph serializes
+to the empty document.  Text in this writer's form reads by whole-text
+operations; a loop over lines reads all other text and reports every fault.
 
 graph6 documents (read only) follow the standard encoding: optional
 ``>>graph6<<`` header, order byte(s), then the upper triangle packed in
@@ -28,10 +30,10 @@ from __future__ import annotations
 
 import re
 from binascii import a2b_base64
-from itertools import chain
+from itertools import compress
 
 from .errors import InputError, ParseError
-from .gf2 import Gf2Matrix, _items, _ones, _vertex_ids
+from .gf2 import Gf2Matrix, _items, _vertex_ids
 from .graph import Graph, _bit_rows, _expect, _sorted_ids
 from .sequences import LocalComp, Pivot, _validated
 
@@ -48,6 +50,7 @@ __all__ = [
 GRAPH_FORMATS = ("edge-list", "graph6")
 
 _KEYWORDS = ("vertex", "loop")
+_SELECT = bytes.maketrans(b"01", b"\0\1")  # bit characters to itertools.compress selectors
 
 
 def _text(text, name: str) -> str:
@@ -68,9 +71,28 @@ def parse_graph(text: str, fmt: str = "edge-list") -> Graph:
 
 
 def _parse_edge_list(text: str) -> Graph:
+    # the writer's form, by whole-text operations
+    if "#" not in text:
+        toks = text.split()
+        us, vs = toks[0::2], toks[1::2]
+        nv = us.count("vertex")
+        k = nv + us.count("loop")
+        loops = vs[nv:k]
+        if (
+            "\n".join(map(" ".join, zip(us, vs))) + "\n" == text
+            and us[:k] == ["vertex"] * nv + ["loop"] * (k - nv)
+            and "vertex" not in vs and "loop" not in vs
+            and len(set(loops)) == len(loops)
+        ):
+            labels = tuple(sorted({*vs, *us[k:]}))
+            # a self-edge or a repeated edge gives ``first``
+            rows, first = _bit_rows(labels, us[k:], vs[k:], loops)
+            if first is None:
+                return Graph._of(Gf2Matrix._trusted(labels, rows))
+    # any other text, and any fault: one line at a time, the only code that reports faults
     declared = []
     loops = set()
-    edges = []  # token pairs of the edge lines, in line order
+    us, vs = [], []  # the edge lines' tokens, in line order
     edge_lines = []
     fault = None
     try:
@@ -101,15 +123,16 @@ def _parse_edge_list(text: str) -> Graph:
             elif u == v:
                 raise ParseError(f"self-edge {u!r} {v!r}; use 'loop {u}'", line=lineno)
             else:
-                edges.append(tokens)
+                us.append(u)
+                vs.append(v)
                 edge_lines.append(lineno)
     except ParseError as err:
         # a duplicate edge before this line is found below and comes first
         fault = err
-    labels = tuple(sorted({*declared, *loops, *chain.from_iterable(edges)}))
-    rows, k = _bit_rows(labels, edges, loops)
+    labels = tuple(sorted({*declared, *loops, *us, *vs}))
+    rows, k = _bit_rows(labels, us, vs, loops)
     if k is not None:
-        raise ParseError("duplicate edge {!r} {!r}".format(*edges[k]), line=edge_lines[k])
+        raise ParseError(f"duplicate edge {us[k]!r} {vs[k]!r}", line=edge_lines[k])
     if fault is not None:
         raise fault
     return Graph._of(Gf2Matrix._trusted(labels, rows))
@@ -190,21 +213,24 @@ def _token(label, reserved: str = "#") -> str:
     return tok
 
 
-def serialize_graph(G: Graph) -> str:
-    """Canonical edge-list document; round-trips through parse_graph."""
-    rows = _expect(G, Graph).adjacency_matrix().rows
-    toks = [_token(v) for v in G.vertices]
+def _edge_list(toks: list, rows) -> str:
+    """The edge-list document of the bit rows ``rows`` over the tokens ``toks``."""
     # a vertex with an all-zero row has neither loop nor edge
     lines = [f"vertex {t}" for t, r in zip(toks, rows) if not r]
     lines += [f"loop {t}" for i, (t, r) in enumerate(zip(toks, rows)) if r >> i & 1]
-    lines += [
-        f"{t} {toks[i + 1 + j]}"
-        for i, (t, r) in enumerate(zip(toks, rows))
-        for j in _ones(r >> (i + 1))
-    ]
-    if not lines:
-        return ""
-    return "\n".join(lines) + "\n"
+    # the bits of row i above i, lowest first, select the other ends of its
+    # edges; bin(r)[:1:-1] is the binary digits of r reversed, without "0b"
+    for i, (t, r) in enumerate(zip(toks, rows)):
+        r >>= i + 1
+        if r:
+            ends = compress(toks[i + 1 :], bin(r)[:1:-1].encode().translate(_SELECT))
+            lines.append(f"{t} " + f"\n{t} ".join(ends))
+    return "\n".join(lines) + "\n" if lines else ""
+
+
+def serialize_graph(G: Graph) -> str:
+    """Canonical edge-list document; round-trips through parse_graph."""
+    return _edge_list([_token(v) for v in _expect(G, Graph).vertices], G.adjacency_matrix().rows)
 
 
 _BRACKET = re.compile(r"\[([^\[\]]*)\]")

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 
 from .errors import InputError, NotApplicableError
 from .gf2 import Gf2Matrix, _compress, _items, _mask, _ones, _vertex_ids
@@ -31,14 +31,15 @@ class Graph:
     def __init__(self, vertices: Iterable = (), edges: Iterable = (), loops: Iterable = ()):
         verts = _vertex_ids(_items(vertices, "vertices"), "vertex id")
         loop_set = _vertex_ids(_items(loops, "loops"), "loop carrier")
-        pairs = []
+        us, vs = [], []
         for e in _items(edges, "edges"):
             try:
                 u, v = e
                 verts.add(u)
                 verts.add(v)
                 # comparing here names the edge whose ids do not compare
-                pairs.append((u, v) if u < v else (v, u))
+                us.append(min(u, v))
+                vs.append(max(u, v))
             except (TypeError, ValueError):
                 raise InputError(
                     f"edge {e!r} is not a pair of hashable, comparable vertex ids"
@@ -46,7 +47,7 @@ class Graph:
             if u == v:
                 raise InputError(f"self-pair {u!r} is not an edge; declare it as a loop")
         labels = _sorted_ids(verts | loop_set)
-        self._matrix = Gf2Matrix._trusted(labels, _bit_rows(labels, pairs, loop_set)[0])
+        self._matrix = Gf2Matrix._trusted(labels, _bit_rows(labels, us, vs, loop_set)[0])
 
     @classmethod
     def _of(cls, m: Gf2Matrix) -> "Graph":
@@ -165,19 +166,27 @@ def _sorted_ids(ids: Iterable) -> tuple:
         raise InputError("vertex ids cannot be ordered") from None
 
 
-def _bit_rows(labels: tuple, pairs: Iterable, loops: Iterable) -> tuple:
-    """Bit rows over ``labels`` with the given edges and loops; the first repeated pair's index."""
+def _bit_rows(labels: tuple, us: Sequence, vs: Sequence, loops: Iterable) -> tuple:
+    """Bit rows over ``labels`` with the edges us[k] vs[k] and the given loops.
+
+    Also the index of the first edge that repeats one or joins a vertex to
+    itself, or None: only then do the rows hold fewer than 2 * len(us) bits.
+    """
     n = len(labels)
     pos = dict(zip(labels, range(n)))
     bit = [1 << i for i in range(n)]
     rows = [0] * n
-    first = None
-    for k, (u, v) in enumerate(pairs):
+    for u, v in zip(us, vs):
         i, j = pos[u], pos[v]
-        if rows[i] & bit[j] and first is None:
-            first = k
         rows[i] |= bit[j]
         rows[j] |= bit[i]
+    first = None
+    if sum(map(int.bit_count, rows)) != 2 * len(us):
+        seen = set()
+        for first, e in enumerate(map(frozenset, zip(us, vs))):
+            if len(e) < 2 or e in seen:
+                break
+            seen.add(e)
     for v in loops:
         rows[pos[v]] |= bit[pos[v]]
     return tuple(rows), first

@@ -2,8 +2,9 @@
 
 Oracles here are deliberately naive: determinants by permutation expansion
 or by a Gauss-Jordan rank, matching parities by walking pairings, general
-matchings by brute subset cover, isomorphism by trying every bijection, and
-the command line by the argparse parser the CLI once used.  They never call
+matchings by brute subset cover, isomorphism by trying every bijection,
+edge-list documents by reading one statement at a time into neighbour sets,
+and the command line by the argparse parser the CLI once used.  They never call
 the code paths they check.
 """
 
@@ -11,6 +12,7 @@ import argparse
 from itertools import combinations, permutations
 
 from pivotgraph import (
+    Gf2Matrix,
     Graph,
     InputError,
     LocalComp,
@@ -415,6 +417,48 @@ def is_isomorphic_small(G, H):
         ):
             return True
     return False
+
+
+def read_edge_list_naive(text):
+    """Read an edge-list document one statement at a time.
+
+    Returns ``(graph, None)``, or ``(None, (line, kind))`` for the first
+    faulty line, where kind is "tokens" (not two tokens), "arity" (a keyword
+    with no vertex or two), "keyword" (a keyword as the second token),
+    "duplicate loop", "self-edge" or "duplicate edge".
+    """
+    keywords = ("vertex", "loop")
+    nbrs = {}
+    loops = set()
+    for line, raw in enumerate(text.splitlines(), start=1):
+        tokens = raw.split("#")[0].split()
+        if not tokens:
+            continue
+        if len(tokens) != 2:
+            return None, (line, "arity" if tokens[0] in keywords else "tokens")
+        u, v = tokens
+        if v in keywords:
+            return None, (line, "keyword")
+        if u == "vertex":
+            nbrs.setdefault(v, set())
+        elif u == "loop":
+            if v in loops:
+                return None, (line, "duplicate loop")
+            loops.add(v)
+            nbrs.setdefault(v, set())
+        elif u == v:
+            return None, (line, "self-edge")
+        elif v in nbrs.get(u, ()):
+            return None, (line, "duplicate edge")
+        else:
+            nbrs.setdefault(u, set()).add(v)
+            nbrs.setdefault(v, set()).add(u)
+    labels = sorted(nbrs)
+    rows = [
+        sum(1 << labels.index(w) for w in nbrs[x]) | (1 << i if x in loops else 0)
+        for i, x in enumerate(labels)
+    ]
+    return Graph.from_adjacency_matrix(Gf2Matrix(labels, rows)), None
 
 
 def _add_io(sub) -> None:

@@ -8,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from pivotgraph import cli, formats
-from helpers import argv_corpus, build_parser
+from pivotgraph import Graph, InputError, UnsupportedSizeError, cli, formats, sequences
+from helpers import argv_corpus, build_parser, random_loop_graph
 
 P3 = "a b\nb c\n"
 P4 = "a b\nb c\nc d\n"
@@ -156,6 +156,26 @@ def test_orbit(run):
     assert code == 0
     assert out == "a b\na c\n\na b\nb c\n\na c\nb c\n"
     assert run(["orbit"], "a b\n") == (0, "a b\n", "")
+
+
+def test_orbit_writes_each_member_as_serialize_graph():
+    # the tokens are checked once per orbit, and each member is written from
+    # its rows; the text must be that of serialize_graph on every member
+    args = cli.parse_args(["orbit"])
+    rng = random.Random(15)
+    for k in range(40):
+        G = random_loop_graph(rng, k % 8, rng.random(), rng.random())
+        G = Graph([f"v{v}" for v in G.vertices], [(f"v{u}", f"v{v}") for u, v in G.edges],
+                  [f"v{v}" for v in G.loops])
+        expected = "\n".join(formats.serialize_graph(g) for g in sequences.orbit(G))
+        assert cli.cmd_orbit(G, args) == expected
+    for bad in ("a b", "loop", "x#y"):
+        with pytest.raises(InputError) as err:
+            cli.cmd_orbit(Graph(edges=[("c", bad)]), args)
+        assert str(err.value) == f"vertex id {bad!r} cannot be written as a token"
+    # the size cap is still checked first
+    with pytest.raises(UnsupportedSizeError):
+        cli.cmd_orbit(Graph(["a b", *"cdefghijklmn"]), args)
 
 
 def test_count_supports(run):

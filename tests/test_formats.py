@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import combinations
 
 import networkx as nx
@@ -18,7 +19,7 @@ from pivotgraph import (
     serialize_opseq,
     serialize_vertex_set,
 )
-from helpers import random_loop_graph
+from helpers import random_loop_graph, read_edge_list_naive
 
 
 def test_parse_edge_list_basics():
@@ -95,6 +96,129 @@ def test_edge_list_errors_carry_line_numbers(doc, message):
     with pytest.raises(ParseError) as err:
         parse_graph(doc)
     assert str(err.value) == message
+
+
+# tokens with no whitespace and no "#", some of them close to the keywords
+_TOKEN_CHARS = "abvxyz019_-.,[]()éλ"
+_NEAR_KEYWORDS = ("vertexa", "loops", "Loop", "VERTEX", "vert", "lo")
+
+
+def _writer_lines(rng, n):
+    """The lines of a random graph's document in the writer's form."""
+    labels = set(rng.sample(_NEAR_KEYWORDS, rng.randint(0, 2)))
+    while len(labels) < n:
+        labels.add("".join(rng.choices(_TOKEN_CHARS, k=rng.randint(1, 4))))
+    labels = sorted(labels)
+    p, loop_p = rng.random(), rng.random()
+    edges = [(u, v) for i, u in enumerate(labels) for v in labels[i + 1 :] if rng.random() < p]
+    loops = [v for v in labels if rng.random() < loop_p]
+    ends = {x for e in edges for x in e}
+    return (
+        [f"vertex {v}" for v in labels if v not in ends and v not in loops]
+        + [f"loop {v}" for v in loops]
+        + [f"{u} {v}" for u, v in edges]
+    )
+
+
+def _first(lines, kind):
+    # index of the first line of a kind: "vertex", "loop" or "edge"
+    for i, line in enumerate(lines):
+        head = line.split()[0]
+        if head == kind or kind == "edge" and head not in ("vertex", "loop"):
+            return i
+    return None
+
+
+def _mutations(rng, lines):
+    """Name and text of each mutation of a writer-form document that applies."""
+    doc = "".join(line + "\n" for line in lines)
+    out = {"writer form": doc}
+    if not lines:
+        return out
+
+    def text(k, new, drop=0):
+        # the document with ``new`` in place of lines[k:k + drop]
+        return "".join(x + "\n" for x in lines[:k] + new + lines[k + drop :])
+
+    i = rng.randrange(len(lines))
+    u, v = lines[i].split()
+    h = rng.randint(0, len(u))
+    out["# in a token"] = text(i, [f"{u[:h]}#{u[h:]} {v}"], drop=1)
+    out["odd token count"] = text(i, [u], drop=1)
+    e = _first(lines, "edge")
+    if e is not None:
+        a, b = lines[e].split()
+        later = rng.randint(e + 1, len(lines))
+        out["repeated edge"] = text(later, [f"{a} {b}"])
+        out["reversed edge"] = text(later, [f"{b} {a}"])
+        out["self-edge"] = text(rng.randint(e, len(lines)), [f"{a} {a}"])
+        out["keyword lines after edges"] = "".join(
+            x + "\n" for x in lines[e:] + lines[:e] + ["vertex " + rng.choice([a, b, "new"])]
+        )
+        first = rng.choice([a, "loop", "vertex"])
+        second = rng.choice(["loop", "vertex"])
+        out["keyword as second token"] = text(rng.randint(0, len(lines)), [f"{first} {second}"])
+    lp = _first(lines, "loop")
+    if lp is not None:
+        out["repeated loop"] = text(lp, [lines[lp]])
+    vx = _first(lines, "vertex")
+    if vx is not None:
+        out["repeated vertex line"] = text(vx, [lines[vx]])
+        if lp is not None:
+            out["loop line before vertex lines"] = "".join(
+                x + "\n" for x in [lines[lp]] + lines[:lp] + lines[lp + 1 :]
+            )
+    s = rng.choice([k for k, c in enumerate(doc) if c == " "])
+    nl = rng.choice([k for k, c in enumerate(doc) if c == "\n"])
+    out["double space"] = doc[:s] + "  " + doc[s + 1 :]
+    out["tab"] = doc[:s] + "\t" + doc[s + 1 :]
+    out["no-break space"] = doc[:s] + "\u00a0" + doc[s + 1 :]
+    out["line separator"] = doc[:nl] + "\u2028" + doc[nl + 1 :]
+    out["line separator in a token"] = doc[:1] + "\u2028" + doc[1:]
+    out["crlf"] = doc.replace("\n", "\r\n")
+    out["blank line"] = doc[: nl + 1] + "\n" + doc[nl + 1 :]
+    out["no final newline"] = doc[:-1]
+    out["line split in two"] = doc[:s] + "\n" + doc[s + 1 :]
+    out["three tokens"] = doc[:nl] + " x" + doc[nl:]
+    return out
+
+
+def edge_list_corpus(seed, count):
+    """(name, text) of writer-form documents of random graphs and their mutations."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield from _mutations(rng, _writer_lines(rng, rng.randint(0, 9))).items()
+
+
+# the message of each kind of fault the oracle names
+_FAULT_MESSAGES = {
+    "tokens": r"expected 'u v', 'loop v', or 'vertex v', got \d+ tokens",
+    "arity": r"'(vertex|loop)' takes exactly one vertex",
+    "keyword": r"keyword '(vertex|loop)' cannot name a vertex",
+    "duplicate loop": r"duplicate loop on '[^']+'",
+    "self-edge": r"self-edge '([^']+)' '\1'; use 'loop \1'",
+    "duplicate edge": r"duplicate edge '[^']+' '[^']+'",
+}
+
+
+def test_edge_list_reader_agrees_with_naive_oracle():
+    # the writer's form reads by whole-text operations and everything else
+    # by the line loop; both must give the oracle's graph or its fault
+    kinds = set()
+    for name, doc in edge_list_corpus(14, 300):
+        expected, fault = read_edge_list_naive(doc)
+        if fault is None:
+            assert parse_graph(doc) == expected, (name, doc)
+            if name == "writer form":
+                assert serialize_graph(expected) == doc
+        else:
+            with pytest.raises(ParseError) as err:
+                parse_graph(doc)
+            line, kind = fault
+            assert err.value.line == line, (name, doc)
+            assert re.fullmatch(f"line {line}: {_FAULT_MESSAGES[kind]}", str(err.value)), (name, doc)
+        kinds.add(fault and fault[1])
+    assert kinds == {None, *_FAULT_MESSAGES}
 
 
 def test_serialize_rejects_unwritable_labels():
