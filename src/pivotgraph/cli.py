@@ -12,8 +12,6 @@ argparse: every request is a new process, and importing and building an
 argparse parser cost several milliseconds of each one.
 """
 
-from __future__ import annotations
-
 import re
 import sys
 from types import SimpleNamespace
@@ -144,7 +142,7 @@ Exit status: 0 done, 1 not applicable, 2 usage or input error."""
 
 # as in argparse, a dash-led token that names no option is a positional when
 # it is "-", a negative number, or holds a space
-_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$").match
+_NEGATIVE = r"^-\d+$|^-\d*\.\d+$"
 
 
 def _usage(name) -> str:
@@ -200,7 +198,7 @@ def parse_args(argv) -> SimpleNamespace:
     def is_flag(tok):
         if tok[:1] != "-" or tok == "-":
             return False
-        return tok.partition("=")[0] in flags or not (" " in tok or _NEGATIVE(tok))
+        return tok.partition("=")[0] in flags or not (" " in tok or re.match(_NEGATIVE, tok))
 
     rest = []
     it = iter(tokens)

@@ -11,8 +11,10 @@ Vertex tokens are arbitrary whitespace-free strings other than the two
 keywords.  Re-declaring an edge or a loop is an error.  Canonical output
 lists vertex lines, then loop lines, then edge lines, each group sorted,
 each line two tokens, one space and a newline; the empty graph serializes
-to the empty document.  Text in this writer's form reads by whole-text
-operations; a loop over lines reads all other text and reports every fault.
+to the empty document.  Text in this writer's form reads by row runs: the
+edge lines that share a first token are one run, and each run's ends sum to
+its row above the diagonal.  A loop over lines reads all other text, and
+any text a check of the run read refuses, and reports every fault.
 
 graph6 documents (read only) follow the standard encoding: optional
 ``>>graph6<<`` header, order byte(s), then the upper triangle packed in
@@ -26,11 +28,10 @@ one with whitespace, ``#`` or a keyword, ``[`` or ``]`` in a sequence, and
 ``,`` in a set.
 """
 
-from __future__ import annotations
-
 import re
 from binascii import a2b_base64
-from itertools import compress
+from bisect import bisect_right
+from itertools import compress, islice, repeat, takewhile
 
 from .errors import InputError, ParseError
 from .gf2 import Gf2Matrix, _items, _vertex_ids
@@ -51,6 +52,7 @@ GRAPH_FORMATS = ("edge-list", "graph6")
 
 _KEYWORDS = ("vertex", "loop")
 _SELECT = bytes.maketrans(b"01", b"\0\1")  # bit characters to itertools.compress selectors
+_DENSE = 8  # the run read transposes n x n digits when n * n <= _DENSE * (edge lines)
 
 
 def _text(text, name: str) -> str:
@@ -71,23 +73,39 @@ def parse_graph(text: str, fmt: str = "edge-list") -> Graph:
 
 
 def _parse_edge_list(text: str) -> Graph:
-    # the writer's form, by whole-text operations
+    # the writer's form, read by row runs
     if "#" not in text:
         toks = text.split()
         us, vs = toks[0::2], toks[1::2]
-        nv = us.count("vertex")
-        k = nv + us.count("loop")
+        # the vertex lines, the loop lines, then one run (head, lo, hi) of edge
+        # lines us[lo:hi] per first token; in the writer's form heads rise,
+        # so bisect finds the ends, and the join below refuses any other order
+        nv = len(list(takewhile("vertex".__eq__, us)))
+        k = nv + len(list(takewhile("loop".__eq__, islice(us, nv, None))))
+        runs = [("vertex", 0, nv), ("loop", nv, k)]
+        while runs[-1][2] < len(us):
+            lo = runs[-1][2]
+            runs.append((us[lo], lo, bisect_right(us, us[lo], lo + 1)))
         loops = vs[nv:k]
+        ids = {*vs, *[u for u, _, _ in runs[2:]]}
+        # equal to the text, the joins make every line 'u v' and give the
+        # lines of a run its head
         if (
-            "\n".join(map(" ".join, zip(us, vs))) + "\n" == text
-            and us[:k] == ["vertex"] * nv + ["loop"] * (k - nv)
-            and "vertex" not in vs and "loop" not in vs
+            len(us) == len(vs)
+            and "".join([f"{u} " + f"\n{u} ".join(vs[lo:hi]) + "\n"
+                         for u, lo, hi in runs if lo < hi]) == text
+            and "vertex" not in ids and "loop" not in ids
             and len(set(loops)) == len(loops)
         ):
-            labels = tuple(sorted({*vs, *us[k:]}))
-            # a self-edge or a repeated edge gives ``first``
-            rows, first = _bit_rows(labels, us[k:], vs[k:], loops)
-            if first is None:
+            labels = tuple(sorted(ids))
+            n, m = len(labels), len(us) - k
+            if n * n <= _DENSE * m:
+                rows = _run_rows(labels, runs[2:], vs, loops, m)
+            else:
+                # a self-edge or a repeated edge gives ``first``
+                rows, first = _bit_rows(labels, us[k:], vs[k:], loops)
+                rows = rows if first is None else None
+            if rows is not None:
                 return Graph._of(Gf2Matrix._trusted(labels, rows))
     # any other text, and any fault: one line at a time, the only code that reports faults
     declared = []
@@ -136,6 +154,32 @@ def _parse_edge_list(text: str) -> Graph:
     if fault is not None:
         raise fault
     return Graph._of(Gf2Matrix._trusted(labels, rows))
+
+
+def _run_rows(labels: tuple, runs: list, vs: list, loops: list, m: int):
+    """Bit rows of the ``m`` edge lines in ``runs`` and of ``loops``, or None
+    unless each line and loop sets bits that no other sets."""
+    n = len(labels)
+    bit = dict(zip(labels, map((1).__lshift__, range(n))))
+    upper = dict.fromkeys(labels, 0)
+    for u, lo, hi in runs:
+        upper[u] = sum(map(bit.__getitem__, vs[lo:hi]))
+    for v in loops:
+        upper[v] |= bit[v]
+    upper = list(upper.values())
+    # a sum that carried, a repeated head or a loop on a self-edge loses a bit
+    if sum(map(int.bit_count, upper)) != m + len(loops):
+        return None
+    # stacked highest position first, column n - 1 - j is row j of the transpose
+    stack = "".join(map(format, reversed(upper), repeat(f"0{n}b")))
+    rows = tuple(map(int.__or__, upper, _columns(stack, n, range(n - 1, -1, -1))))
+    # a self-edge or an edge given both ways sets fewer than two bits
+    return rows if sum(map(int.bit_count, rows)) == 2 * m + len(loops) else None
+
+
+def _columns(stack, n: int, cols) -> tuple:
+    # columns ``cols`` of the n x n digit matrix ``stack``, the first row highest
+    return tuple(int(stack[c::n], 2) for c in cols)
 
 
 # graph6 bytes are 63..126; each carries six bits, high bit first, as the
@@ -202,7 +246,7 @@ def _parse_graph6(text: str) -> Graph:
     # the stack is row v with its columns in that order, the bit string of
     # row v with bit p at column order[p]
     stack = b"".join([m[v * n : (v + 1) * n] for v in reversed(order)])
-    rows = tuple(int(stack[v::n], 2) for v in order)
+    rows = _columns(stack, n, order)
     return Graph._of(Gf2Matrix._trusted(labels, rows))
 
 
@@ -233,16 +277,16 @@ def serialize_graph(G: Graph) -> str:
     return _edge_list([_token(v) for v in _expect(G, Graph).vertices], G.adjacency_matrix().rows)
 
 
-_BRACKET = re.compile(r"\[([^\[\]]*)\]")
+_BRACKET = r"\[([^\[\]]*)\]"
 
 
 def parse_opseq(text: str):
     """Parse bracket groups into a tuple of operations."""
     ops = []
-    rest = _BRACKET.sub(" ", _text(text, "text"))
+    rest = re.sub(_BRACKET, " ", _text(text, "text"))
     if rest.split():
         raise ParseError(f"stray text outside brackets: {rest.split()[0]!r}")
-    for m in _BRACKET.finditer(text):
+    for m in re.finditer(_BRACKET, text):
         tokens = m.group(1).split()
         if len(tokens) == 1:
             ops.append(LocalComp(tokens[0]))

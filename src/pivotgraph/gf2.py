@@ -6,8 +6,6 @@ every operation returns a new matrix.  The determinant of the empty (0 x 0)
 matrix is 1.
 """
 
-from __future__ import annotations
-
 from collections.abc import Iterable, Iterator, Sequence
 from operator import index
 from typing import Hashable, Optional

@@ -1,7 +1,5 @@
 """Graph values (simple or with loops) and the complementation/pivot operations."""
 
-from __future__ import annotations
-
 from collections.abc import Iterable, Sequence
 
 from .errors import InputError, NotApplicableError

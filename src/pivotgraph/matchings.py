@@ -1,7 +1,5 @@
 """Perfect-matching parities and the pairing formula with repeated vertices."""
 
-from __future__ import annotations
-
 from collections.abc import Sequence
 
 from .errors import InputError

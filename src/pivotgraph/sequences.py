@@ -7,8 +7,6 @@ set of vertices it touches an odd number of times; for applicable sequences
 the support alone determines the result.
 """
 
-from __future__ import annotations
-
 from collections.abc import Iterable
 from typing import Hashable, Optional, Union
 

@@ -267,8 +267,12 @@ def test_unknown_vertex_message_ignores_hash_seed(argv, vertex):
 def test_cli_import_skips_heavy_modules(tmp_path):
     # every request pays for these imports before any graph work: argparse
     # with gettext and locale, and the introspection stack behind
-    # dataclasses, would cost several ms a call
-    heavy = ["argparse", "gettext", "locale", "dataclasses", "inspect", "ast", "dis", "tokenize"]
+    # dataclasses, would cost several ms a call; __future__ is small, but
+    # nothing else loads it
+    heavy = [
+        "argparse", "gettext", "locale", "dataclasses", "inspect", "ast", "dis", "tokenize",
+        "__future__",
+    ]
     path = tmp_path / "g.txt"
     path.write_text(P3)
     probe = (

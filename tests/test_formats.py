@@ -19,6 +19,7 @@ from pivotgraph import (
     serialize_opseq,
     serialize_vertex_set,
 )
+from pivotgraph import formats
 from helpers import random_loop_graph, read_edge_list_naive
 
 
@@ -145,6 +146,7 @@ def _mutations(rng, lines):
     h = rng.randint(0, len(u))
     out["# in a token"] = text(i, [f"{u[:h]}#{u[h:]} {v}"], drop=1)
     out["odd token count"] = text(i, [u], drop=1)
+    out["one token and a space"] = text(i, [u + " "], drop=1)
     e = _first(lines, "edge")
     if e is not None:
         a, b = lines[e].split()
@@ -180,6 +182,20 @@ def _mutations(rng, lines):
     out["no final newline"] = doc[:-1]
     out["line split in two"] = doc[:s] + "\n" + doc[s + 1 :]
     out["three tokens"] = doc[:nl] + " x" + doc[nl:]
+    if e is not None:
+        # line orders the run read does not assume, and repeats it must catch
+        edges = lines[e:]
+        out["edge lines shuffled"] = text(e, rng.sample(edges, len(edges)), drop=len(edges))
+        if len(edges) > 1:
+            s2 = rng.randrange(e, len(lines) - 1)
+            out["edge lines swapped"] = text(s2, [lines[s2 + 1], lines[s2]], drop=2)
+        j = rng.randrange(e, len(lines))
+        a, b = lines[j].split()
+        out["edge line reversed"] = text(j, [f"{b} {a}"], drop=1)
+        run_end = max(i for i in range(e, len(lines)) if lines[i].split()[0] == a)
+        out["run's last line at the end"] = text(run_end, [], drop=1) + lines[run_end] + "\n"
+        out["vertex line names an endpoint"] = text(rng.randint(0, e), [f"vertex {rng.choice([a, b])}"])
+        out["end repeated in its run"] = text(rng.randint(j + 1, run_end + 1), [lines[j]])
     return out
 
 
@@ -202,15 +218,18 @@ _FAULT_MESSAGES = {
 
 
 def test_edge_list_reader_agrees_with_naive_oracle():
-    # the writer's form reads by whole-text operations and everything else
+    # the writer's form reads by row runs and everything else
     # by the line loop; both must give the oracle's graph or its fault
     kinds = set()
+    dense = set()  # which row builder each writer-form document takes
     for name, doc in edge_list_corpus(14, 300):
         expected, fault = read_edge_list_naive(doc)
         if fault is None:
             assert parse_graph(doc) == expected, (name, doc)
             if name == "writer form":
                 assert serialize_graph(expected) == doc
+                n, m = len(expected.vertices), len(expected.edges)
+                dense.add(m > 0 and n * n <= formats._DENSE * m)
         else:
             with pytest.raises(ParseError) as err:
                 parse_graph(doc)
@@ -219,6 +238,34 @@ def test_edge_list_reader_agrees_with_naive_oracle():
             assert re.fullmatch(f"line {line}: {_FAULT_MESSAGES[kind]}", str(err.value)), (name, doc)
         kinds.add(fault and fault[1])
     assert kinds == {None, *_FAULT_MESSAGES}
+    assert dense == {False, True}
+
+
+def test_density_rule_picks_the_row_builder(monkeypatch):
+    # 25 > 8 * 1: graph._bit_rows builds the rows; 9 <= 8 * 3: the transpose
+    def refuse(*args):
+        raise AssertionError("the other row builder ran")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(formats, "_columns", refuse)
+        assert parse_graph("vertex a\nvertex b\nvertex c\nd e\n") == Graph("abc", [("d", "e")])
+    with monkeypatch.context() as mp:
+        mp.setattr(formats, "_bit_rows", refuse)
+        triangle = [("a", "b"), ("a", "c"), ("b", "c")]
+        assert parse_graph("a b\na c\nb c\n") == Graph(edges=triangle)
+    assert 5 * 5 > formats._DENSE * 1 and 3 * 3 <= formats._DENSE * 3
+
+
+@pytest.mark.parametrize("doc", ["vertex c\na b\na b\n", "a b\na b\n"])
+def test_run_sum_that_carries_is_a_duplicate_edge(doc):
+    # the two bits of b in row a add up to the bit of c, or to one past the
+    # last label; the run read must see the carry and leave the fault to the
+    # line loop
+    n = len(set(doc.split()) - {"vertex"})
+    assert n * n <= formats._DENSE * 2
+    with pytest.raises(ParseError) as err:
+        parse_graph(doc)
+    assert str(err.value) == f"line {doc.count(chr(10))}: duplicate edge 'a' 'b'"
 
 
 def test_serialize_rejects_unwritable_labels():
