@@ -31,10 +31,10 @@ one with whitespace, ``#`` or a keyword, ``[`` or ``]`` in a sequence, and
 import re
 from binascii import a2b_base64
 from bisect import bisect_right
-from itertools import compress, islice, repeat, takewhile
+from itertools import compress, islice, takewhile
 
 from .errors import InputError, ParseError
-from .gf2 import Gf2Matrix, _items, _vertex_ids
+from .gf2 import Gf2Matrix, _columns, _items, _transpose, _vertex_ids
 from .graph import Graph, _bit_rows, _expect, _sorted_ids
 from .sequences import LocalComp, Pivot, _validated
 
@@ -170,16 +170,9 @@ def _run_rows(labels: tuple, runs: list, vs: list, loops: list, m: int):
     # a sum that carried, a repeated head or a loop on a self-edge loses a bit
     if sum(map(int.bit_count, upper)) != m + len(loops):
         return None
-    # stacked highest position first, column n - 1 - j is row j of the transpose
-    stack = "".join(map(format, reversed(upper), repeat(f"0{n}b")))
-    rows = tuple(map(int.__or__, upper, _columns(stack, n, range(n - 1, -1, -1))))
+    rows = tuple(map(int.__or__, upper, _transpose(upper, n, range(n))))
     # a self-edge or an edge given both ways sets fewer than two bits
     return rows if sum(map(int.bit_count, rows)) == 2 * m + len(loops) else None
-
-
-def _columns(stack, n: int, cols) -> tuple:
-    # columns ``cols`` of the n x n digit matrix ``stack``, the first row highest
-    return tuple(int(stack[c::n], 2) for c in cols)
 
 
 # graph6 bytes are 63..126; each carries six bits, high bit first, as the

@@ -7,6 +7,7 @@ matrix is 1.
 """
 
 from collections.abc import Iterable, Iterator, Sequence
+from itertools import repeat
 from operator import index
 from typing import Hashable, Optional
 
@@ -17,12 +18,16 @@ __all__ = ["Gf2Matrix"]
 Label = Hashable
 
 
-def _compress(row: int, positions: Sequence[int]) -> int:
-    """Extract the bits of ``row`` at ``positions``, packed contiguously."""
-    out = 0
-    for i, p in enumerate(positions):
-        out |= ((row >> p) & 1) << i
-    return out
+def _columns(stack, n: int, cols) -> tuple:
+    """Columns ``cols`` of the digit matrix ``stack``, rows of ``n`` digits, the first highest."""
+    return tuple(int(stack[c::n], 2) for c in cols)
+
+
+def _transpose(rows: Sequence[int], n: int, pos: Sequence[int]) -> tuple:
+    """The transpose of ``rows[pos][:, pos]`` for rows of at most ``n`` bits; ``pos`` may repeat."""
+    # stacked last position first, so column n - 1 - q holds bit q
+    stack = "".join(map(format, map(rows.__getitem__, reversed(pos)), repeat(f"0{n}b")))
+    return _columns(stack, n, [n - 1 - q for q in pos])
 
 
 def _ones(bits: int) -> Iterator[int]:
@@ -306,12 +311,11 @@ class Gf2Matrix:
         for r in rows:
             if r < 0 or r >= limit:
                 raise InputError("row has bits outside the matrix order")
-        for i in range(n):
-            for j in range(i + 1, n):
-                if ((rows[i] >> j) & 1) != ((rows[j] >> i) & 1):
-                    raise InputError(
-                        f"asymmetric entries at ({labels[i]!r}, {labels[j]!r})"
-                    )
+        for i, d in enumerate(map(int.__xor__, rows, _transpose(rows, n, range(n)))):
+            if d:
+                # rows above i match their columns, so the lowest bit j of d lies above i
+                j = (d & -d).bit_length() - 1
+                raise InputError(f"asymmetric entries at ({labels[i]!r}, {labels[j]!r})")
         self._labels = labels
         self._rows = rows
         self._pos = {lbl: i for i, lbl in enumerate(labels)}
@@ -327,11 +331,15 @@ class Gf2Matrix:
 
     @classmethod
     def from_dense(cls, labels: Sequence[Label], entries: Sequence[Sequence[int]]) -> "Gf2Matrix":
-        """Build from a dense 0/1 row-of-rows table."""
+        """Build from a dense 0/1 table, one row of ``len(labels)`` entries per label."""
+        labels = _items(labels, "labels")
         rows = []
         for i, row in enumerate(_items(entries, "entries")):
+            row = _items(row, f"entries[{i}]")
+            if len(row) != len(labels):
+                raise InputError(f"entries[{i}] has {len(row)} entries, expected {len(labels)}")
             bits = 0
-            for j, x in enumerate(_items(row, f"entries[{i}]")):
+            for j, x in enumerate(row):
                 b = _index(x, "entry")
                 if b not in (0, 1):
                     raise InputError(f"entry {x!r} is not a bit")
@@ -383,8 +391,7 @@ class Gf2Matrix:
         """Principal submatrix on the positions in the bitmask ``live``."""
         pos = list(_ones(live))
         labels = tuple(self._labels[i] for i in pos)
-        rows = tuple(_compress(self._rows[i], pos) for i in pos)
-        return Gf2Matrix._trusted(labels, rows)
+        return Gf2Matrix._trusted(labels, _transpose(self._rows, self.order, pos))
 
     def det(self) -> int:
         """Determinant over GF(2); 1 for the empty matrix.

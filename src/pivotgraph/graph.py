@@ -3,7 +3,7 @@
 from collections.abc import Iterable, Sequence
 
 from .errors import InputError, NotApplicableError
-from .gf2 import Gf2Matrix, _compress, _items, _mask, _ones, _vertex_ids
+from .gf2 import Gf2Matrix, _items, _mask, _ones, _transpose, _vertex_ids
 
 __all__ = [
     "Graph",
@@ -124,7 +124,7 @@ class Graph:
         if labels == m.labels:
             return cls._of(m)
         pos = m._positions(labels, "label")
-        return cls._of(Gf2Matrix._trusted(labels, tuple(_compress(m.rows[p], pos) for p in pos)))
+        return cls._of(Gf2Matrix._trusted(labels, _transpose(m.rows, m.order, pos)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):

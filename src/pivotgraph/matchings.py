@@ -3,7 +3,7 @@
 from collections.abc import Sequence
 
 from .errors import InputError
-from .gf2 import Gf2Matrix, _compress, _items
+from .gf2 import Gf2Matrix, _items, _transpose
 from .graph import Graph, _expect
 
 __all__ = ["pm_parity", "general_pm_parity", "pm_multiset"]
@@ -50,5 +50,6 @@ def pm_multiset(G: Graph, args: Sequence) -> int:
         raise InputError("sim is defined on simple graphs; use adj_entry")
     # G is simple, so bit q of adj[p] | 1 << p is sim at p, q; bit i clears the diagonal
     adj = G.adjacency_matrix().rows
-    rows = [_compress(adj[p] | 1 << p, pos) ^ (1 << i) for i, p in enumerate(pos)]
+    sim = {p: adj[p] | 1 << p for p in pos}
+    rows = [r ^ 1 << i for i, r in enumerate(_transpose(sim, len(adj), pos))]
     return Gf2Matrix._trusted(tuple(range(n)), tuple(rows)).det()

@@ -1,8 +1,9 @@
 """Shared oracles and generators for the test suite.
 
-Oracles here are deliberately naive: determinants by permutation expansion
-or by a Gauss-Jordan rank, matching parities by walking pairings, general
-matchings by brute subset cover, isomorphism by trying every bijection,
+Oracles here are deliberately naive: the symmetry check by a walk over
+pairs, submatrices and sim matrices entry by entry, determinants by
+permutation expansion or by a Gauss-Jordan rank, matching parities by
+walking pairings, general matchings by brute subset cover, isomorphism by trying every bijection,
 edge-list documents by reading one statement at a time into neighbour sets,
 and the command line by the argparse parser the CLI once used.  They never call
 the code paths they check.
@@ -109,6 +110,38 @@ def rank_by_elimination(m):
                 rows[j] = r ^ prow
         rank += 1
     return rank
+
+
+def asymmetry_by_pairs(labels, rows):
+    """The constructor's asymmetry message, or None, by walking the pairs i < j in order.
+
+    This is the pair loop ``Gf2Matrix.__init__`` once ran: the first pair
+    whose two entries differ is named.
+    """
+    n = len(labels)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if (rows[i] >> j & 1) != (rows[j] >> i & 1):
+                return f"asymmetric entries at ({labels[i]!r}, {labels[j]!r})"
+    return None
+
+
+def submatrix_entrywise(m, keep):
+    """Labels and dense entries of the principal submatrix of ``m`` on ``keep``, by ``entry``."""
+    keep = set(keep)
+    labs = [x for x in m.labels if x in keep]
+    return labs, [[m.entry(x, y) for y in labs] for x in labs]
+
+
+def pm_multiset_by_sim_rank(G, args):
+    """Pairing formula as det of the sim matrix of ``args``, diagonal cleared, by its rank.
+
+    The matrix is filled entry by entry with ``G.sim``; det is 1 iff the
+    elimination rank is full.
+    """
+    n = len(args)
+    dense = [[int(i != j and G.sim(x, y)) for j, y in enumerate(args)] for i, x in enumerate(args)]
+    return int(rank_by_elimination(Gf2Matrix.from_dense(range(n), dense)) == n)
 
 
 def ppt_by_block_inverse(m, subset):

@@ -247,7 +247,7 @@ def test_density_rule_picks_the_row_builder(monkeypatch):
         raise AssertionError("the other row builder ran")
 
     with monkeypatch.context() as mp:
-        mp.setattr(formats, "_columns", refuse)
+        mp.setattr(formats, "_transpose", refuse)
         assert parse_graph("vertex a\nvertex b\nvertex c\nd e\n") == Graph("abc", [("d", "e")])
     with monkeypatch.context() as mp:
         mp.setattr(formats, "_bit_rows", refuse)

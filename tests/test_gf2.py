@@ -7,10 +7,12 @@ from pivotgraph import Gf2Matrix, InputError, NotApplicableError, SingularPivotE
 from pivotgraph.sequences import synthesize_reduced
 from helpers import (
     all_symmetric_matrices,
+    asymmetry_by_pairs,
     det_bruteforce,
     ppt_by_block_inverse,
     random_loop_graph,
     rank_by_elimination,
+    submatrix_entrywise,
 )
 
 
@@ -57,6 +59,61 @@ def test_from_dense_admits_int_entries(x):
     with pytest.raises(InputError) as err:
         Gf2Matrix.from_dense(["a"], [[x]])
     assert str(err.value) == f"entry {x!r} is not an integer"
+
+
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        ([[0, 1, 0], [1, 0]], "entries[0] has 3 entries, expected 2"),
+        ([[0, 1], [1]], "entries[1] has 1 entries, expected 2"),
+        ([[], []], "entries[0] has 0 entries, expected 2"),
+    ],
+)
+def test_from_dense_refuses_ragged_rows(entries, message):
+    # a long row used to be cut to the order and a short one padded with zeros
+    with pytest.raises(InputError) as err:
+        Gf2Matrix.from_dense(["a", "b"], entries)
+    assert str(err.value) == message
+    # the labels may be any iterable, read once
+    assert Gf2Matrix.from_dense(iter("ab"), [[0, 1], [1, 0]]) == K2
+
+
+def _flipped(rng, n, flips):
+    """Random labels, and a random symmetric matrix with the entries ``flips`` toggled."""
+    rows = list(random_loop_graph(rng, n).adjacency_matrix().rows)
+    for i, j in flips:
+        rows[i] ^= 1 << j
+    return [f"v{x}" for x in rng.sample(range(1000), n)], rows
+
+
+def test_asymmetry_message_matches_pair_loop():
+    rng = random.Random(16)
+    for n in range(2, 65):
+        i, j = sorted(rng.sample(range(n), 2))
+        several = [rng.sample(range(n), 2) for _ in range(rng.randint(2, 6))]
+        # one flip above the diagonal, one below, and several anywhere
+        for flips in ([(i, j)], [(j, i)], several):
+            labels, rows = _flipped(rng, n, flips)
+            expected = asymmetry_by_pairs(labels, rows)
+            if expected is None:
+                # the flips cancelled in pairs
+                assert Gf2Matrix(labels, rows).rows == tuple(rows)
+                continue
+            with pytest.raises(InputError) as err:
+                Gf2Matrix(labels, rows)
+            assert str(err.value) == expected, (n, flips)
+
+
+def test_bounds_message_comes_before_asymmetry():
+    rng = random.Random(17)
+    for n in (2, 9, 64):
+        for stray in (1 << n, -1):
+            labels, rows = _flipped(rng, n, [(0, n - 1)])
+            assert asymmetry_by_pairs(labels, rows) is not None
+            rows[-1] = stray
+            with pytest.raises(InputError) as err:
+                Gf2Matrix(labels, rows)
+            assert str(err.value) == "row has bits outside the matrix order"
 
 
 def test_construction_reads_bools_as_ints():
@@ -118,6 +175,17 @@ def test_principal_submatrix():
     assert K3.principal_submatrix("abc") == K3
     with pytest.raises(InputError):
         K3.principal_submatrix({"x"})
+
+
+def test_principal_submatrix_matches_entries_up_to_70():
+    rng = random.Random(18)
+    for n in (0, 1, 2, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 70):
+        labels = [f"v{x}" for x in rng.sample(range(1000), n)]
+        m = Gf2Matrix(labels, random_loop_graph(rng, n, p=rng.random()).adjacency_matrix().rows)
+        most = [x for x in labels if rng.random() < 0.8]
+        for keep in ([], labels, rng.sample(labels, n // 2), most):
+            sub = m.principal_submatrix(keep)
+            assert [list(sub.labels), sub.to_dense()] == list(submatrix_entrywise(m, keep))
 
 
 def test_ppt_pair_block_shape():

@@ -140,11 +140,14 @@ def test_sim_and_adj_entry():
 
 def test_induced_subgraph_and_adjacency_commute():
     rng = random.Random(5)
-    for _ in range(30):
-        g = random_simple_graph(rng, 6)
+    # rows up to 70 bits, on both sides of 8, 16, 32 and 64
+    for n in [6] * 30 + [9, 17, 33, 64, 70]:
+        g = random_loop_graph(rng, n, p=rng.random())
         keep = [v for v in g.vertices if rng.random() < 0.5]
         sub = g.induced_subgraph(keep)
         assert sub.adjacency_matrix() == g.adjacency_matrix().principal_submatrix(keep)
+        edges = [(x, y) for x in keep for y in keep if x < y and g.has_edge(x, y)]
+        assert sub == Graph(keep, edges, [x for x in keep if g.has_loop(x)])
     with pytest.raises(InputError):
         Graph(["a"]).induced_subgraph(["b"])
 
@@ -178,13 +181,13 @@ def test_from_adjacency_matrix_permutes_rows_without_graph_init(monkeypatch):
 
 def test_from_adjacency_matrix_matches_entries_in_any_label_order():
     rng = random.Random(9)
-    for _ in range(40):
-        n = rng.randint(0, 8)
-        g = random_loop_graph(rng, n)
-        order = list(g.vertices)
-        rng.shuffle(order)
-        dense = [[g.adj_entry(x, y) for y in order] for x in order]
-        assert Graph.from_adjacency_matrix(Gf2Matrix.from_dense(order, dense)) == g
+    for n in [rng.randint(0, 8) for _ in range(40)] + [9, 17, 33, 64, 70]:
+        g = random_loop_graph(rng, n, p=rng.random())
+        shuffled = list(g.vertices)
+        rng.shuffle(shuffled)
+        for order in (shuffled, g.vertices[::-1]):
+            dense = [[g.adj_entry(x, y) for y in order] for x in order]
+            assert Graph.from_adjacency_matrix(Gf2Matrix.from_dense(order, dense)) == g
     with pytest.raises(InputError) as err:
         Graph.from_adjacency_matrix(Gf2Matrix(["b", 1, "a"], [0, 0, 0]))
     assert str(err.value) == "vertex ids 'a' and 1 cannot be ordered"

@@ -19,6 +19,7 @@ from helpers import (
     general_pm_bruteforce,
     pm_bruteforce,
     pm_multiset_bruteforce,
+    pm_multiset_by_sim_rank,
     random_simple_graph,
 )
 
@@ -144,6 +145,19 @@ def test_pm_multiset_matches_bruteforce_random():
         # more arguments than vertices forces repeats
         args = [rng.choice(g.vertices) for _ in range(rng.choice([0, 2, 4, 6, 8]))]
         assert pm_multiset(g, args) == pm_multiset_bruteforce(g, args)
+
+
+def test_pm_multiset_matches_sim_matrix_up_to_70():
+    rng = random.Random(21)
+    for n in (1, 5, 9, 17, 33, 64, 70):
+        g = random_simple_graph(rng, n, p=rng.random())
+        for k in (2, 8, 10, 16, 40, 70):
+            # a pool of fewer vertices than arguments forces repeats
+            pool = rng.sample(g.vertices, min(n, rng.randint(1, k)))
+            args = [rng.choice(pool) for _ in range(k)]
+            assert pm_multiset(g, args) == pm_multiset_by_sim_rank(g, args), (n, args)
+            if k <= 10:
+                assert pm_multiset(g, args) == pm_multiset_bruteforce(g, args), (n, args)
 
 
 def test_pm_multiset_permutation_invariant():
