@@ -482,3 +482,85 @@ def test_refused_request_writes_only_the_error(run, argv, doc, code):
 def test_request_tables_cover_every_command():
     for table in (ANSWERED, REFUSED):
         assert {row[0][0] for row in table} == set(cli.COMMANDS)
+
+
+def _fresh(argv, tmp_path, doc="", **popen):
+    """Run one request as ``python -m pivotgraph.cli``, without
+    PYTHONUNBUFFERED, so its stdout is block-buffered; return (exit code,
+    stdout bytes, stderr bytes)."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    env.pop("PYTHONUNBUFFERED", None)
+    path = tmp_path / "in"
+    path.write_bytes(doc if isinstance(doc, bytes) else doc.encode())
+    popen = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **popen}
+    with open(path, "rb") as fin:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pivotgraph.cli", *argv], stdin=fin, env=env, timeout=60,
+            **popen,
+        )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+# the looped path on 9 vertices: its orbit is about 27 kB, more than the
+# 8 KiB stdout buffer, so an answer left in the buffer at exit shows
+LOOPED_P9 = "".join(f"loop v{i}\n" for i in range(9)) + "".join(f"v{i} v{i + 1}\n" for i in range(8))
+FRESH = [
+    *ANSWERED,
+    *((argv, doc) for argv, doc, _ in REFUSED),
+    (["orbit"], LOOPED_P9),
+    (["pivot", "a"], P3),
+    (["-h"], ""),
+]
+
+
+@pytest.mark.parametrize("argv, doc", FRESH, ids=[" ".join(argv) for argv, _ in FRESH])
+def test_fresh_process_replies_as_main(run, capsys, tmp_path, argv, doc):
+    # stdout goes to a file, so it is block-buffered, and an answer shorter
+    # than the buffer reaches the file only through run's own flush
+    with open(tmp_path / "out", "wb") as out, open(tmp_path / "err", "wb") as err:
+        code, _, _ = _fresh(argv, tmp_path, doc, stdout=out, stderr=err)
+    try:
+        want = run(argv, doc)
+    except SystemExit as exc:
+        want = (exc.code, *capsys.readouterr())
+    got = (code, (tmp_path / "out").read_bytes(), (tmp_path / "err").read_bytes())
+    assert got == (want[0], want[1].encode(), want[2].encode())
+
+
+def test_profiler_still_reports():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "cProfile", "-m", "pivotgraph.cli", "det"],
+        input=P4, capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("1\n") and "function calls" in proc.stdout
+    assert "Ordered by:" in proc.stdout
+
+
+# the closed-pipe faults: an answer larger than the stdout buffer fails in
+# main's write, a small one in run's flush; ">&-" starts with no stdout
+@pytest.mark.parametrize(
+    "argv, doc, fault",
+    [
+        (["orbit"], LOOPED_P9, "pipe"),
+        (["det"], P4, "pipe"),
+        (["det"], P4, "closed"),
+    ],
+    ids=["large answer into a closed pipe", "small answer into a closed pipe", "closed stdout"],
+)
+def test_unwritable_stdout_is_one_error_line(tmp_path, argv, doc, fault):
+    if fault == "pipe":
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            code, _, err = _fresh(argv, tmp_path, doc, stdout=write)
+        finally:
+            os.close(write)
+        want = "Broken pipe"
+    else:
+        code, _, err = _fresh(argv, tmp_path, doc, stdout=None, preexec_fn=lambda: os.close(1))
+        want = "closed"
+    assert (code, err.decode()) == (1, f"error: cannot write stdout: {want}\n")
