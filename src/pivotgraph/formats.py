@@ -8,13 +8,15 @@ Edge-list documents (read/write), one statement per line:
     a b             edge between a and b (declares both)
 
 Vertex tokens are arbitrary whitespace-free strings other than the two
-keywords.  Re-declaring an edge or a loop is an error.  Canonical output
-lists vertex lines, then loop lines, then edge lines, each group sorted,
-each line two tokens, one space and a newline; the empty graph serializes
-to the empty document.  Text in this writer's form reads by row runs: the
-edge lines that share a first token are one run, and each run's ends sum to
-its row above the diagonal.  A loop over lines reads all other text, and
-any text a check of the run read refuses, and reports every fault.
+keywords.  A document is sound exactly when its adjacency rows hold two
+bits per edge line and one per loop line: a self-edge, a repeated edge and a
+repeated loop each set fewer.  Canonical output lists vertex lines, then loop
+lines, then edge lines, each group sorted, each line two tokens, one space
+and a newline; the empty graph serializes to the empty document.  Text in
+this writer's form reads by row runs: the edge lines that share a first
+token are one run, and each run's ends sum to its row above the diagonal.
+A loop over lines reads all other text, and any text a check of the run
+read refuses, and reports every fault.
 
 graph6 documents (read only) follow the standard encoding: optional
 ``>>graph6<<`` header, order byte(s), then the upper triangle packed in
@@ -95,17 +97,14 @@ def _parse_edge_list(text: str) -> Graph:
             and "".join([f"{u} " + f"\n{u} ".join(vs[lo:hi]) + "\n"
                          for u, lo, hi in runs if lo < hi]) == text
             and "vertex" not in ids and "loop" not in ids
-            and len(set(loops)) == len(loops)
         ):
             labels = tuple(sorted(ids))
             n, m = len(labels), len(us) - k
             if n * n <= _DENSE * m:
                 rows = _run_rows(labels, runs[2:], vs, loops, m)
             else:
-                # a self-edge or a repeated edge gives ``first``
-                rows, first = _bit_rows(labels, us[k:], vs[k:], loops)
-                rows = rows if first is None else None
-            if rows is not None:
+                rows = _bit_rows(labels, us[k:], vs[k:], loops)
+            if rows is not None and sum(map(int.bit_count, rows)) == 2 * m + len(loops):
                 return Graph._of(Gf2Matrix._trusted(labels, rows))
     # any other text, and any fault: one line at a time, the only code that reports faults
     declared = []
@@ -138,19 +137,25 @@ def _parse_edge_list(text: str) -> Graph:
                 if v in loops:
                     raise ParseError(f"duplicate loop on {v!r}", line=lineno)
                 loops.add(v)
-            elif u == v:
-                raise ParseError(f"self-edge {u!r} {v!r}; use 'loop {u}'", line=lineno)
             else:
                 us.append(u)
                 vs.append(v)
                 edge_lines.append(lineno)
     except ParseError as err:
-        # a duplicate edge before this line is found below and comes first
+        # a self-edge or a duplicate edge before this line is found below and comes first
         fault = err
     labels = tuple(sorted({*declared, *loops, *us, *vs}))
-    rows, k = _bit_rows(labels, us, vs, loops)
-    if k is not None:
-        raise ParseError(f"duplicate edge {us[k]!r} {vs[k]!r}", line=edge_lines[k])
+    rows = _bit_rows(labels, us, vs, loops)
+    if sum(map(int.bit_count, rows)) != 2 * len(us) + len(loops):
+        # the first self-edge or repeated edge in line order is the fault
+        seen = set()
+        for u, v, lineno in zip(us, vs, edge_lines):
+            e = frozenset((u, v))
+            if u == v:
+                raise ParseError(f"self-edge {u!r} {v!r}; use 'loop {u}'", line=lineno)
+            if e in seen:
+                raise ParseError(f"duplicate edge {u!r} {v!r}", line=lineno)
+            seen.add(e)
     if fault is not None:
         raise fault
     return Graph._of(Gf2Matrix._trusted(labels, rows))
@@ -158,7 +163,7 @@ def _parse_edge_list(text: str) -> Graph:
 
 def _run_rows(labels: tuple, runs: list, vs: list, loops: list, m: int):
     """Bit rows of the ``m`` edge lines in ``runs`` and of ``loops``, or None
-    unless each line and loop sets bits that no other sets."""
+    when the rows above the diagonal hold fewer bits than lines."""
     n = len(labels)
     bit = dict(zip(labels, map((1).__lshift__, range(n))))
     upper = dict.fromkeys(labels, 0)
@@ -167,12 +172,11 @@ def _run_rows(labels: tuple, runs: list, vs: list, loops: list, m: int):
     for v in loops:
         upper[v] |= bit[v]
     upper = list(upper.values())
-    # a sum that carried, a repeated head or a loop on a self-edge loses a bit
+    # a sum that carried, perhaps past the last label, would put the
+    # transpose's columns out of line; a repeated head or loop loses a bit too
     if sum(map(int.bit_count, upper)) != m + len(loops):
         return None
-    rows = tuple(map(int.__or__, upper, _transpose(upper, n, range(n))))
-    # a self-edge or an edge given both ways sets fewer than two bits
-    return rows if sum(map(int.bit_count, rows)) == 2 * m + len(loops) else None
+    return tuple(map(int.__or__, upper, _transpose(upper, n, range(n))))
 
 
 # graph6 bytes are 63..126; each carries six bits, high bit first, as the

@@ -45,7 +45,7 @@ class Graph:
             if u == v:
                 raise InputError(f"self-pair {u!r} is not an edge; declare it as a loop")
         labels = _sorted_ids(verts | loop_set)
-        self._matrix = Gf2Matrix._trusted(labels, _bit_rows(labels, us, vs, loop_set)[0])
+        self._matrix = Gf2Matrix._trusted(labels, _bit_rows(labels, us, vs, loop_set))
 
     @classmethod
     def _of(cls, m: Gf2Matrix) -> "Graph":
@@ -165,11 +165,7 @@ def _sorted_ids(ids: Iterable) -> tuple:
 
 
 def _bit_rows(labels: tuple, us: Sequence, vs: Sequence, loops: Iterable) -> tuple:
-    """Bit rows over ``labels`` with the edges us[k] vs[k] and the given loops.
-
-    Also the index of the first edge that repeats one or joins a vertex to
-    itself, or None: only then do the rows hold fewer than 2 * len(us) bits.
-    """
+    """Bit rows over ``labels`` with the edges us[k] vs[k] and the given loops."""
     n = len(labels)
     pos = dict(zip(labels, range(n)))
     bit = [1 << i for i in range(n)]
@@ -178,16 +174,9 @@ def _bit_rows(labels: tuple, us: Sequence, vs: Sequence, loops: Iterable) -> tup
         i, j = pos[u], pos[v]
         rows[i] |= bit[j]
         rows[j] |= bit[i]
-    first = None
-    if sum(map(int.bit_count, rows)) != 2 * len(us):
-        seen = set()
-        for first, e in enumerate(map(frozenset, zip(us, vs))):
-            if len(e) < 2 or e in seen:
-                break
-            seen.add(e)
     for v in loops:
         rows[pos[v]] |= bit[pos[v]]
-    return tuple(rows), first
+    return tuple(rows)
 
 
 def local_complement(G: Graph, u) -> Graph:

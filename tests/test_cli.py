@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -484,13 +485,16 @@ def test_request_tables_cover_every_command():
         assert {row[0][0] for row in table} == set(cli.COMMANDS)
 
 
-def _fresh(argv, tmp_path, doc="", **popen):
-    """Run one request as ``python -m pivotgraph.cli``, without
-    PYTHONUNBUFFERED, so its stdout is block-buffered; return (exit code,
-    stdout bytes, stderr bytes)."""
+def _fresh(argv, tmp_path, doc="", unbuffered=False, **popen):
+    """Run one request as ``python -m pivotgraph.cli``; return (exit code,
+    stdout bytes, stderr bytes).  Its stdout is block-buffered, or unbuffered
+    under PYTHONUNBUFFERED=1 when ``unbuffered`` is set, as the benchmark's
+    requests may run."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     path = tmp_path / "in"
     path.write_bytes(doc if isinstance(doc, bytes) else doc.encode())
     popen = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **popen}
@@ -514,18 +518,27 @@ FRESH = [
 ]
 
 
-@pytest.mark.parametrize("argv, doc", FRESH, ids=[" ".join(argv) for argv, _ in FRESH])
-def test_fresh_process_replies_as_main(run, capsys, tmp_path, argv, doc):
-    # stdout goes to a file, so it is block-buffered, and an answer shorter
-    # than the buffer reaches the file only through run's own flush
+def _replies_as_main(run, capsys, tmp_path, argv, doc, unbuffered):
     with open(tmp_path / "out", "wb") as out, open(tmp_path / "err", "wb") as err:
-        code, _, _ = _fresh(argv, tmp_path, doc, stdout=out, stderr=err)
+        code, _, _ = _fresh(argv, tmp_path, doc, unbuffered, stdout=out, stderr=err)
     try:
         want = run(argv, doc)
     except SystemExit as exc:
         want = (exc.code, *capsys.readouterr())
     got = (code, (tmp_path / "out").read_bytes(), (tmp_path / "err").read_bytes())
     assert got == (want[0], want[1].encode(), want[2].encode())
+
+
+@pytest.mark.parametrize("argv, doc", FRESH, ids=[" ".join(argv) for argv, _ in FRESH])
+def test_fresh_process_replies_as_main(run, capsys, tmp_path, argv, doc):
+    # stdout goes to a file, so it is block-buffered, and every byte of an
+    # answer must reach the file before run ends the process
+    _replies_as_main(run, capsys, tmp_path, argv, doc, unbuffered=False)
+
+
+@pytest.mark.parametrize("argv, doc", FRESH, ids=[" ".join(argv) for argv, _ in FRESH])
+def test_unbuffered_process_replies_as_main(run, capsys, tmp_path, argv, doc):
+    _replies_as_main(run, capsys, tmp_path, argv, doc, unbuffered=True)
 
 
 def test_profiler_still_reports():
@@ -540,27 +553,81 @@ def test_profiler_still_reports():
     assert "Ordered by:" in proc.stdout
 
 
-# the closed-pipe faults: an answer larger than the stdout buffer fails in
-# main's write, a small one in run's flush; ">&-" starts with no stdout
-@pytest.mark.parametrize(
-    "argv, doc, fault",
-    [
-        (["orbit"], LOOPED_P9, "pipe"),
-        (["det"], P4, "pipe"),
-        (["det"], P4, "closed"),
-    ],
-    ids=["large answer into a closed pipe", "small answer into a closed pipe", "closed stdout"],
-)
-def test_unwritable_stdout_is_one_error_line(tmp_path, argv, doc, fault):
+# the closed-pipe faults: an answer larger than the pipe and a small one;
+# ">&-" starts with no stdout
+UNWRITABLE = [
+    (["orbit"], LOOPED_P9, "pipe"),
+    (["det"], P4, "pipe"),
+    (["det"], P4, "closed"),
+]
+UNWRITABLE_IDS = ["large answer into a closed pipe", "small answer into a closed pipe", "closed stdout"]
+
+
+def _unwritable_stdout_is_one_error_line(tmp_path, argv, doc, fault, unbuffered):
     if fault == "pipe":
         read, write = os.pipe()
         os.close(read)
         try:
-            code, _, err = _fresh(argv, tmp_path, doc, stdout=write)
+            code, _, err = _fresh(argv, tmp_path, doc, unbuffered, stdout=write)
         finally:
             os.close(write)
         want = "Broken pipe"
     else:
-        code, _, err = _fresh(argv, tmp_path, doc, stdout=None, preexec_fn=lambda: os.close(1))
+        code, _, err = _fresh(
+            argv, tmp_path, doc, unbuffered, stdout=None, preexec_fn=lambda: os.close(1)
+        )
         want = "closed"
     assert (code, err.decode()) == (1, f"error: cannot write stdout: {want}\n")
+
+
+@pytest.mark.parametrize("argv, doc, fault", UNWRITABLE, ids=UNWRITABLE_IDS)
+def test_unwritable_stdout_is_one_error_line(tmp_path, argv, doc, fault):
+    _unwritable_stdout_is_one_error_line(tmp_path, argv, doc, fault, unbuffered=False)
+
+
+@pytest.mark.parametrize("argv, doc, fault", UNWRITABLE, ids=UNWRITABLE_IDS)
+def test_unwritable_unbuffered_stdout_is_one_error_line(tmp_path, argv, doc, fault):
+    _unwritable_stdout_is_one_error_line(tmp_path, argv, doc, fault, unbuffered=True)
+
+
+# the orbit of the looped 12-vertex path, about 237 kB, overfills the pipe
+LOOPED_P12 = "".join(f"loop v{i}\n" for i in range(12)) + "".join(
+    f"v{i} v{i + 1}\n" for i in range(11)
+)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_reader_gone_mid_answer_is_one_error_line(tmp_path, unbuffered):
+    # the reader leaves after one byte, as ``head -c1`` does; unbuffered, the
+    # one write that the pipe takes in part must not drop the rest silently
+    read, write = os.pipe()
+
+    def head():
+        os.read(read, 1)
+        os.close(read)
+
+    reader = threading.Thread(target=head)
+    reader.start()
+    try:
+        code, _, err = _fresh(["orbit"], tmp_path, LOOPED_P12, unbuffered, stdout=write)
+    finally:
+        os.close(write)
+        reader.join(timeout=60)
+    assert not reader.is_alive()
+    assert (code, err.decode()) == (1, "error: cannot write stdout: Broken pipe\n")
+
+
+# with fd 2 closed the error line cannot be written, but the exit code stands
+CLOSED_STDERR = [
+    (["frobnicate"], "", 2),
+    (["det", "missing.txt"], "", 2),
+    (["pivot", "a", "c"], P3, 1),
+]
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv, doc, want", CLOSED_STDERR, ids=[r[0][0] for r in CLOSED_STDERR])
+def test_closed_stderr_keeps_the_exit_code(tmp_path, argv, doc, want, unbuffered):
+    argv = [str(tmp_path / a) if a == "missing.txt" else a for a in argv]
+    code, out, _ = _fresh(argv, tmp_path, doc, unbuffered, stderr=None, preexec_fn=lambda: os.close(2))
+    assert (code, out) == (want, b"")

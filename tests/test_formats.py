@@ -241,6 +241,65 @@ def test_edge_list_reader_agrees_with_naive_oracle():
     assert dense == {False, True}
 
 
+# faulty documents in writer tokens that reach the run read's row builders
+_BUILDER_FAULTS = [
+    "a a\n",
+    "loop a\na a\n",
+    "vertex c\na b\nb b\n",
+    "loop a\nloop a\n",
+    "vertex b\nloop a\nloop a\nc d\n",
+    "a b\na b\n",
+    "vertex c\na b\na b\n",
+    "loop a\nloop b\na c\nb c\nb c\n",  # row b's sum carries past the last label
+    "a b\nb a\n",
+    "a b\na c\nb c\nc a\n",
+]
+
+
+def test_every_edge_fault_reads_alike_on_every_reader_path(monkeypatch):
+    # the same faulty text goes through the run read's transpose branch
+    # (_DENSE huge), its _bit_rows branch (_DENSE 0) and, after a leading
+    # comment, the line loop; each read gives the oracle's line and message
+    calls = {"_run_rows": 0, "_bit_rows": 0}
+
+    def counted(name):
+        builder = getattr(formats, name)
+
+        def call(*args):
+            calls[name] += 1
+            return builder(*args)
+
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(formats, name, counted(name))
+    reached = set()  # (kind, branch) of each fault that a run-read builder met
+    docs = [doc for _, doc in edge_list_corpus(18, 120)] + _BUILDER_FAULTS
+    kinds = set()
+    for doc in docs:
+        if read_edge_list_naive(doc)[1] is None:
+            continue
+        messages = []
+        for dense, text in ((10**9, doc), (0, doc), (8, "# c\n" + doc)):
+            monkeypatch.setattr(formats, "_DENSE", dense)
+            before = dict(calls)
+            with pytest.raises(ParseError) as err:
+                parse_graph(text)
+            line, kind = read_edge_list_naive(text)[1]
+            assert err.value.line == line, (dense, text)
+            assert re.fullmatch(f"line {line}: {_FAULT_MESSAGES[kind]}", str(err.value)), (dense, text)
+            messages.append(str(err.value).partition(": ")[2])
+            if calls["_run_rows"] > before["_run_rows"]:
+                reached.add((kind, "transpose"))
+            if calls["_bit_rows"] > before["_bit_rows"] + 1:  # the run read's, then the loop's
+                reached.add((kind, "_bit_rows"))
+        assert len(set(messages)) == 1, (doc, messages)
+        kinds.add(kind)
+    assert kinds == set(_FAULT_MESSAGES)
+    counted_kinds = ("self-edge", "duplicate loop", "duplicate edge")
+    assert reached == {(k, b) for k in counted_kinds for b in ("transpose", "_bit_rows")}
+
+
 def test_density_rule_picks_the_row_builder(monkeypatch):
     # 25 > 8 * 1: graph._bit_rows builds the rows; 9 <= 8 * 3: the transpose
     def refuse(*args):
