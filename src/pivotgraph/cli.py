@@ -13,12 +13,12 @@ argparse parser cost several milliseconds of each one.
 
 The command enters through ``run``, which owns the process's output: it
 calls ``main`` with stdout and stderr in memory, writes every byte of each
-to its file descriptor, and ends the process with ``os._exit``, as nothing
-is left to clean up.  Skipping the interpreter's teardown (module clean-up,
-the final collections, atexit handlers) saves about 10 ms a request.  Under
-a tracer or profiler (``pdb``, ``python -m cProfile``) ``run`` exits
-normally, so that its report is written.  ``main`` is the entry point in
-process.
+to its file descriptor, as UTF-8 in any locale (as the input is read), and
+ends the process with ``os._exit``, as nothing is left to clean up.
+Skipping the interpreter's teardown (module clean-up, the final
+collections, atexit handlers) saves about 10 ms a request.  Under a tracer
+or profiler (``pdb``, ``python -m cProfile``) ``run`` exits normally, so
+that its report is written.  ``main`` is the entry point in process.
 """
 
 import io
@@ -249,11 +249,12 @@ def parse_args(argv) -> SimpleNamespace:
 
 def _write(stream, text: str):
     """Write ``text`` to the file descriptor under ``stream`` until every byte
-    is taken, encoded as the stream would: None, or why it could not."""
+    is taken, as UTF-8 in any locale: None, or why it could not."""
     if stream is None:  # the command was started with it closed
         return "closed"
     try:
-        data = memoryview(text.encode(stream.encoding, stream.errors))
+        # a command-line byte that is not UTF-8 goes back out as itself
+        data = memoryview(text.encode("utf-8", "surrogateescape"))
         while data:
             data = data[os.write(stream.fileno(), data):]
     except OSError as err:  # its reader is gone, or its descriptor is bad

@@ -54,7 +54,9 @@ GRAPH_FORMATS = ("edge-list", "graph6")
 
 _KEYWORDS = ("vertex", "loop")
 _SELECT = bytes.maketrans(b"01", b"\0\1")  # bit characters to itertools.compress selectors
-_DENSE = 8  # the run read transposes n x n digits when n * n <= _DENSE * (edge lines)
+# the run read transposes n x n digits when n * n <= _DENSE * (edge lines);
+# tools/crossovers.py times each reader path over n and n * n / (edge lines)
+_DENSE = 8
 
 
 def _text(text, name: str) -> str:
@@ -101,10 +103,19 @@ def _parse_edge_list(text: str) -> Graph:
             labels = tuple(sorted(ids))
             n, m = len(labels), len(us) - k
             if n * n <= _DENSE * m:
-                rows = _run_rows(labels, runs[2:], vs, loops, m)
+                # each run sums to its row above the diagonal, cut to n bits: a
+                # carry, like a repeat, only loses bits; the transpose fills the rest
+                bit = dict(zip(labels, map((1).__lshift__, range(n))))
+                upper = dict.fromkeys(labels, 0)
+                for u, lo, hi in runs[2:]:
+                    upper[u] = sum(map(bit.__getitem__, vs[lo:hi])) & (1 << n) - 1
+                for v in loops:
+                    upper[v] |= bit[v]
+                upper = list(upper.values())
+                rows = tuple(map(int.__or__, upper, _transpose(upper, n, range(n))))
             else:
                 rows = _bit_rows(labels, us[k:], vs[k:], loops)
-            if rows is not None and sum(map(int.bit_count, rows)) == 2 * m + len(loops):
+            if sum(map(int.bit_count, rows)) == 2 * m + len(loops):
                 return Graph._of(Gf2Matrix._trusted(labels, rows))
     # any other text, and any fault: one line at a time, the only code that reports faults
     declared = []
@@ -159,24 +170,6 @@ def _parse_edge_list(text: str) -> Graph:
     if fault is not None:
         raise fault
     return Graph._of(Gf2Matrix._trusted(labels, rows))
-
-
-def _run_rows(labels: tuple, runs: list, vs: list, loops: list, m: int):
-    """Bit rows of the ``m`` edge lines in ``runs`` and of ``loops``, or None
-    when the rows above the diagonal hold fewer bits than lines."""
-    n = len(labels)
-    bit = dict(zip(labels, map((1).__lshift__, range(n))))
-    upper = dict.fromkeys(labels, 0)
-    for u, lo, hi in runs:
-        upper[u] = sum(map(bit.__getitem__, vs[lo:hi]))
-    for v in loops:
-        upper[v] |= bit[v]
-    upper = list(upper.values())
-    # a sum that carried, perhaps past the last label, would put the
-    # transpose's columns out of line; a repeated head or loop loses a bit too
-    if sum(map(int.bit_count, upper)) != m + len(loops):
-        return None
-    return tuple(map(int.__or__, upper, _transpose(upper, n, range(n))))
 
 
 # graph6 bytes are 63..126; each carries six bits, high bit first, as the

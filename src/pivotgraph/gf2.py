@@ -83,11 +83,9 @@ def _index(x, what: str) -> int:
 
 
 # A walk over at least this many positions batches its row updates (see
-# _pivot_out).  Over every position of random matrices (0 % and 30 % loops,
-# medians of best-of-7 ratios in two runs), batching runs 1.0-1.1x as fast
-# as the direct walk at 64 positions, 1.1-1.3x at 80 and 1.3-1.4x at 96 at
-# edge probability 1/2 and 1/4, but 0.7-0.9x, 0.9-1.0x and 1.0-1.2x at 1/10.
-# The crossover falls as the rows fill; the threshold is the one at 1/10.
+# _pivot_out).  Over every position of random matrices, batching wins from
+# 64-80 positions at edge probability 1/2 and 1/4 and from about 96 at 1/10;
+# the threshold is the one at 1/10.  tools/crossovers.py prints the grid.
 BATCH_MIN = 96
 
 # The positions taken in one batch lie in at most this many consecutive

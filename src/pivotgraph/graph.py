@@ -1,6 +1,8 @@
 """Graph values (simple or with loops) and the complementation/pivot operations."""
 
 from collections.abc import Iterable, Sequence
+from itertools import accumulate
+from operator import xor
 
 from .errors import InputError, NotApplicableError
 from .gf2 import Gf2Matrix, _items, _mask, _ones, _transpose, _vertex_ids
@@ -243,11 +245,9 @@ def overlap_graph(word) -> Graph:
             raise InputError(
                 f"not a double-occurrence word: {s!r} occurs {len(positions)} time(s)"
             )
-    edges = []
-    for i, x in enumerate(toks):
-        a, b = spans[x]
-        for y in toks[i + 1 :]:
-            c, d = spans[y]
-            if a < c < b < d or c < a < d < b:
-                edges.append((x, y))
-    return Graph(toks, edges)
+    # row x sums the bits of the symbols strictly between x's occurrences a
+    # and b: one with both occurrences there cancels, one with one interleaves
+    bit = dict(zip(toks, map((1).__lshift__, range(len(toks)))))
+    pre = list(accumulate(map(bit.__getitem__, symbols), xor, initial=0))
+    rows = tuple(pre[b] ^ pre[a + 1] for a, b in map(spans.__getitem__, toks))
+    return Graph._of(Gf2Matrix._trusted(toks, rows))

@@ -2,11 +2,12 @@
 
 Oracles here are deliberately naive: the symmetry check by a walk over
 pairs, submatrices and sim matrices entry by entry, determinants by
-permutation expansion or by a Gauss-Jordan rank, matching parities by
-walking pairings, general matchings by brute subset cover, isomorphism by trying every bijection,
-edge-list documents by reading one statement at a time into neighbour sets,
-and the command line by the argparse parser the CLI once used.  They never call
-the code paths they check.
+permutation expansion or by a Gauss-Jordan rank, overlap graphs by
+counting occurrences between occurrences, matching parities by walking
+pairings, general matchings by brute subset cover, isomorphism by trying
+every bijection, edge-list documents by reading one statement at a time
+into neighbour sets, and the command line by the argparse parser the CLI
+once used.  They never call the code paths they check.
 """
 
 import argparse
@@ -450,6 +451,18 @@ def is_isomorphic_small(G, H):
         ):
             return True
     return False
+
+
+def overlap_edges_naive(word):
+    """The interleaved pairs (x, y), x < y, of a double-occurrence word: exactly
+    one occurrence of y lies strictly between the two occurrences of x."""
+    symbols = list(word)
+    edges = set()
+    for x, y in combinations(sorted(set(symbols)), 2):
+        a, b = [p for p, s in enumerate(symbols) if s == x]
+        if symbols[a + 1 : b].count(y) == 1:
+            edges.add((x, y))
+    return edges
 
 
 def read_edge_list_naive(text):

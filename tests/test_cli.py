@@ -324,6 +324,34 @@ def test_non_utf8_stdin_fails_in_any_locale(locale):
     assert proc.stderr == b"error: cannot read stdin: not UTF-8 at byte 2\n"
 
 
+@pytest.mark.parametrize(
+    "setting", [{"PYTHONIOENCODING": "latin-1"}, {"PYTHONIOENCODING": "ascii"}, {"LC_ALL": "C"}],
+    ids=["latin-1", "ascii", "C"],
+)
+def test_output_is_utf8_in_any_locale(setting):
+    # the input is always read as UTF-8; the answer and the error line were
+    # written in the stream's encoding, so a latin-1 answer did not read back
+    # in the next command of a pipe, and an ascii one ended in a traceback
+    keep = ("PYTHONUTF8", "PYTHONIOENC", "LC_ALL")
+    env = {k: v for k, v in os.environ.items() if not k.startswith(keep)}
+    env.update(setting, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+
+    def fresh(argv, data=b""):
+        proc = subprocess.run(
+            [sys.executable, "-m", "pivotgraph.cli", *argv],
+            input=data, capture_output=True, env=env, timeout=60,
+        )
+        return proc.returncode, proc.stdout, proc.stderr
+
+    code, answer, err = fresh(["pivot", "a", "é"], "a é\n".encode())
+    assert (code, answer, err) == (0, "a é\n".encode(), b"")
+    assert fresh(["det"], answer) == (0, b"1\n", b"")
+    refusal = "error: pivot 'é'-'a' requires loop-free endpoints\n".encode()
+    assert fresh(["pivot", "é", "a"], "loop é\na é\n".encode()) == (1, b"", refusal)
+    # a command-line byte that is not UTF-8 goes back out as itself
+    assert fresh(["overlap", "--word", b"\xff q \xff q"]) == (0, b"q \xff\n", b"")
+
+
 def test_option_forms(run):
     pivoted = (0, "a b\na c\n", "")
     assert run(["pivot", "a", "b", "-f", "edge-list"], P3) == pivoted

@@ -260,7 +260,7 @@ def test_every_edge_fault_reads_alike_on_every_reader_path(monkeypatch):
     # the same faulty text goes through the run read's transpose branch
     # (_DENSE huge), its _bit_rows branch (_DENSE 0) and, after a leading
     # comment, the line loop; each read gives the oracle's line and message
-    calls = {"_run_rows": 0, "_bit_rows": 0}
+    calls = {"_transpose": 0, "_bit_rows": 0}
 
     def counted(name):
         builder = getattr(formats, name)
@@ -289,7 +289,7 @@ def test_every_edge_fault_reads_alike_on_every_reader_path(monkeypatch):
             assert err.value.line == line, (dense, text)
             assert re.fullmatch(f"line {line}: {_FAULT_MESSAGES[kind]}", str(err.value)), (dense, text)
             messages.append(str(err.value).partition(": ")[2])
-            if calls["_run_rows"] > before["_run_rows"]:
+            if calls["_transpose"] > before["_transpose"]:
                 reached.add((kind, "transpose"))
             if calls["_bit_rows"] > before["_bit_rows"] + 1:  # the run read's, then the loop's
                 reached.add((kind, "_bit_rows"))
@@ -318,8 +318,8 @@ def test_density_rule_picks_the_row_builder(monkeypatch):
 @pytest.mark.parametrize("doc", ["vertex c\na b\na b\n", "a b\na b\n"])
 def test_run_sum_that_carries_is_a_duplicate_edge(doc):
     # the two bits of b in row a add up to the bit of c, or to one past the
-    # last label; the run read must see the carry and leave the fault to the
-    # line loop
+    # last label; either way the run read's bit count falls short and leaves
+    # the fault to the line loop
     n = len(set(doc.split()) - {"vertex"})
     assert n * n <= formats._DENSE * 2
     with pytest.raises(ParseError) as err:

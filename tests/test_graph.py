@@ -23,6 +23,7 @@ from helpers import (
     all_simple_graphs,
     is_isomorphic_small,
     loop_rule_by_neighbourhood,
+    overlap_edges_naive,
     pivot_by_classes,
     random_loop_graph,
     random_simple_graph,
@@ -322,6 +323,21 @@ def test_overlap_graph_accepts_sequences():
     assert overlap_graph(["a", "b", "a", "b"]) == Graph(edges=[("a", "b")])
     assert overlap_graph("a a b b") == Graph(["a", "b"])
     assert overlap_graph([]) == Graph()
+
+
+def test_overlap_graph_agrees_with_naive_interleave_check():
+    # random double-occurrence words over ints (which sort apart from their
+    # strings) and over strings, 0 to 12 symbols
+    rng = random.Random(19)
+    for trial in range(3000):
+        k = rng.randrange(13)
+        symbols = list(range(k)) if trial % 2 else [f"s{i}" for i in range(k)]
+        word = symbols * 2
+        rng.shuffle(word)
+        g = overlap_graph(word)
+        assert g.vertices == tuple(sorted(symbols)), word
+        assert set(g.edges) == overlap_edges_naive(word), word
+        assert not g.loops, word
 
 
 def test_overlap_graph_rejects_bad_words():
