@@ -13,8 +13,8 @@ argparse parser cost several milliseconds of each one.
 
 The command enters through ``run``, which owns the process's output: it
 calls ``main`` with stdout and stderr in memory, writes every byte of each
-to its file descriptor, as UTF-8 in any locale (as the input is read), and
-ends the process with ``os._exit``, as nothing is left to clean up.
+to its file descriptor, as UTF-8 in any locale (as ``main`` reads the input
+and the command line), and ends the process with ``os._exit``.
 Skipping the interpreter's teardown (module clean-up, the final
 collections, atexit handlers) saves about 10 ms a request.  Under a tracer
 or profiler (``pdb``, ``python -m cProfile``) ``run`` exits normally, so
@@ -263,7 +263,9 @@ def _write(stream, text: str):
 
 
 def main(argv=None) -> int:
-    args = parse_args(sys.argv[1:] if argv is None else argv)
+    if argv is None:
+        argv = [os.fsencode(a).decode("utf-8", "surrogateescape") for a in sys.argv[1:]]
+    args = parse_args(argv)
     try:
         G = _read_graph(args) if hasattr(args, "input") else None
         answer = args.func(G, args)

@@ -15,8 +15,8 @@ lines, then edge lines, each group sorted, each line two tokens, one space
 and a newline; the empty graph serializes to the empty document.  Text in
 this writer's form reads by row runs: the edge lines that share a first
 token are one run, and each run's ends sum to its row above the diagonal.
-A loop over lines reads all other text, and any text a check of the run
-read refuses, and reports every fault.
+A loop over lines reads all other text and any text the run read refuses;
+it checks each statement as it reads it, so it reports the first faulty line.
 
 graph6 documents (read only) follow the standard encoding: optional
 ``>>graph6<<`` header, order byte(s), then the upper triangle packed in
@@ -117,59 +117,42 @@ def _parse_edge_list(text: str) -> Graph:
                 rows = _bit_rows(labels, us[k:], vs[k:], loops)
             if sum(map(int.bit_count, rows)) == 2 * m + len(loops):
                 return Graph._of(Gf2Matrix._trusted(labels, rows))
-    # any other text, and any fault: one line at a time, the only code that reports faults
+    # any other text, and any fault: one statement at a time, each checked as it is read
     declared = []
     loops = set()
-    us, vs = [], []  # the edge lines' tokens, in line order
-    edge_lines = []
-    fault = None
-    try:
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            tokens = raw.partition("#")[0].split()
-            if not tokens:
-                continue
-            if len(tokens) != 2:
-                if tokens[0] in _KEYWORDS:
-                    raise ParseError(
-                        f"'{tokens[0]}' takes exactly one vertex", line=lineno
-                    )
-                raise ParseError(
-                    f"expected 'u v', 'loop v', or 'vertex v', got {len(tokens)} tokens",
-                    line=lineno,
-                )
-            u, v = tokens
-            # keywords in vertex position would not survive re-serialization; a
-            # keyword first is a statement, so only v can be a misplaced one
-            if v in _KEYWORDS:
-                raise ParseError(f"keyword {v!r} cannot name a vertex", line=lineno)
-            if u == "vertex":
-                declared.append(v)
-            elif u == "loop":
-                if v in loops:
-                    raise ParseError(f"duplicate loop on {v!r}", line=lineno)
-                loops.add(v)
-            else:
-                us.append(u)
-                vs.append(v)
-                edge_lines.append(lineno)
-    except ParseError as err:
-        # a self-edge or a duplicate edge before this line is found below and comes first
-        fault = err
-    labels = tuple(sorted({*declared, *loops, *us, *vs}))
-    rows = _bit_rows(labels, us, vs, loops)
-    if sum(map(int.bit_count, rows)) != 2 * len(us) + len(loops):
-        # the first self-edge or repeated edge in line order is the fault
-        seen = set()
-        for u, v, lineno in zip(us, vs, edge_lines):
-            e = frozenset((u, v))
-            if u == v:
-                raise ParseError(f"self-edge {u!r} {v!r}; use 'loop {u}'", line=lineno)
-            if e in seen:
+    edges = {}  # each edge line's ends, lower first; _bit_rows runs faster in line order
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        tokens = raw.partition("#")[0].split()
+        if not tokens:
+            continue
+        if len(tokens) != 2:
+            if tokens[0] in _KEYWORDS:
+                raise ParseError(f"'{tokens[0]}' takes exactly one vertex", line=lineno)
+            raise ParseError(
+                f"expected 'u v', 'loop v', or 'vertex v', got {len(tokens)} tokens",
+                line=lineno,
+            )
+        u, v = tokens
+        # keywords in vertex position would not survive re-serialization; a
+        # keyword first is a statement, so only v can be a misplaced one
+        if v in _KEYWORDS:
+            raise ParseError(f"keyword {v!r} cannot name a vertex", line=lineno)
+        if u == "vertex":
+            declared.append(v)
+        elif u == "loop":
+            if v in loops:
+                raise ParseError(f"duplicate loop on {v!r}", line=lineno)
+            loops.add(v)
+        elif u == v:
+            raise ParseError(f"self-edge {u!r} {v!r}; use 'loop {u}'", line=lineno)
+        else:
+            e = (u, v) if u < v else (v, u)
+            if e in edges:
                 raise ParseError(f"duplicate edge {u!r} {v!r}", line=lineno)
-            seen.add(e)
-    if fault is not None:
-        raise fault
-    return Graph._of(Gf2Matrix._trusted(labels, rows))
+            edges[e] = None
+    us, vs = [u for u, _ in edges], [v for _, v in edges]
+    labels = tuple(sorted({*declared, *loops, *us, *vs}))
+    return Graph._of(Gf2Matrix._trusted(labels, _bit_rows(labels, us, vs, loops)))
 
 
 # graph6 bytes are 63..126; each carries six bits, high bit first, as the

@@ -325,14 +325,22 @@ def test_non_utf8_stdin_fails_in_any_locale(locale):
 
 
 @pytest.mark.parametrize(
-    "setting", [{"PYTHONIOENCODING": "latin-1"}, {"PYTHONIOENCODING": "ascii"}, {"LC_ALL": "C"}],
-    ids=["latin-1", "ascii", "C"],
+    "setting",
+    [
+        {"PYTHONIOENCODING": "latin-1"},
+        {"PYTHONIOENCODING": "ascii"},
+        {"LC_ALL": "C"},
+        {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"},
+    ],
+    ids=["latin-1", "ascii", "C", "C uncoerced"],
 )
 def test_output_is_utf8_in_any_locale(setting):
     # the input is always read as UTF-8; the answer and the error line were
     # written in the stream's encoding, so a latin-1 answer did not read back
-    # in the next command of a pipe, and an ascii one ended in a traceback
-    keep = ("PYTHONUTF8", "PYTHONIOENC", "LC_ALL")
+    # in the next command of a pipe, and an ascii one ended in a traceback;
+    # in an ascii locale that Python does not coerce to UTF-8, a vertex named
+    # on the command line was read in the locale's encoding, so 'é' was unknown
+    keep = ("PYTHONUTF8", "PYTHONIOENC", "PYTHONCOERCE", "LC_ALL")
     env = {k: v for k, v in os.environ.items() if not k.startswith(keep)}
     env.update(setting, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
 
