@@ -38,8 +38,8 @@ def _read_graph(args) -> Graph:
         where, data = "stdin", sys.stdin.buffer.read()
     else:
         where = repr(args.input)
-        try:
-            with open(args.input, "rb") as fh:
+        try:  # the path as the bytes of the command line, in any locale
+            with open(args.input.encode("utf-8", "surrogateescape"), "rb") as fh:
                 data = fh.read()
         except OSError as err:
             raise InputError(f"cannot read {where}: {err.strerror}") from None

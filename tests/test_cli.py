@@ -334,7 +334,7 @@ def test_non_utf8_stdin_fails_in_any_locale(locale):
     ],
     ids=["latin-1", "ascii", "C", "C uncoerced"],
 )
-def test_output_is_utf8_in_any_locale(setting):
+def test_output_is_utf8_in_any_locale(setting, tmp_path):
     # the input is always read as UTF-8; the answer and the error line were
     # written in the stream's encoding, so a latin-1 answer did not read back
     # in the next command of a pipe, and an ascii one ended in a traceback;
@@ -358,6 +358,9 @@ def test_output_is_utf8_in_any_locale(setting):
     assert fresh(["pivot", "é", "a"], "loop é\na é\n".encode()) == (1, b"", refusal)
     # a command-line byte that is not UTF-8 goes back out as itself
     assert fresh(["overlap", "--word", b"\xff q \xff q"]) == (0, b"q \xff\n", b"")
+    # and a file named on the command line is opened by the bytes given
+    (tmp_path / "é.txt").write_bytes(b"a b\n")
+    assert fresh(["det", str(tmp_path / "é.txt")]) == (0, b"1\n", b"")
 
 
 def test_option_forms(run):
