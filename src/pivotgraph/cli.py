@@ -16,7 +16,7 @@ calls ``main`` with stdout and stderr in memory, writes every byte of each
 to its file descriptor, as UTF-8 in any locale (as ``main`` reads the input
 and the command line), and ends the process with ``os._exit``.
 Skipping the interpreter's teardown (module clean-up, the final
-collections, atexit handlers) saves about 10 ms a request.  Under a tracer
+collections, atexit handlers) is timed in ``CHANGES.md``.  Under a tracer
 or profiler (``pdb``, ``python -m cProfile``) ``run`` exits normally, so
 that its report is written.  ``main`` is the entry point in process.
 """

@@ -548,10 +548,15 @@ def _fresh(argv, tmp_path, doc="", unbuffered=False, **popen):
 # the looped path on 9 vertices: its orbit is about 27 kB, more than the
 # 8 KiB stdout buffer, so an answer left in the buffer at exit shows
 LOOPED_P9 = "".join(f"loop v{i}\n" for i in range(9)) + "".join(f"v{i} v{i + 1}\n" for i in range(8))
+# the orbit of the looped 12-vertex path, about 237 kB, overfills the pipe
+LOOPED_P12 = "".join(f"loop v{i}\n" for i in range(12)) + "".join(
+    f"v{i} v{i + 1}\n" for i in range(11)
+)
 FRESH = [
     *ANSWERED,
     *((argv, doc) for argv, doc, _ in REFUSED),
     (["orbit"], LOOPED_P9),
+    (["orbit"], LOOPED_P12),
     (["pivot", "a"], P3),
     (["-h"], ""),
 ]
@@ -627,12 +632,6 @@ def test_unwritable_stdout_is_one_error_line(tmp_path, argv, doc, fault):
 @pytest.mark.parametrize("argv, doc, fault", UNWRITABLE, ids=UNWRITABLE_IDS)
 def test_unwritable_unbuffered_stdout_is_one_error_line(tmp_path, argv, doc, fault):
     _unwritable_stdout_is_one_error_line(tmp_path, argv, doc, fault, unbuffered=True)
-
-
-# the orbit of the looped 12-vertex path, about 237 kB, overfills the pipe
-LOOPED_P12 = "".join(f"loop v{i}\n" for i in range(12)) + "".join(
-    f"v{i} v{i + 1}\n" for i in range(11)
-)
 
 
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
