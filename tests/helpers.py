@@ -8,10 +8,16 @@ pairings, general matchings by brute subset cover, isomorphism by trying
 every bijection, edge-list documents by reading one statement at a time
 into neighbour sets, and the command line by the argparse parser the CLI
 once used.  They never call the code paths they check.
+
+``run_child`` is the one way a test starts a process.
 """
 
 import argparse
+import os
+import subprocess
+import sys
 from itertools import combinations, permutations
+from pathlib import Path
 
 from pivotgraph import (
     Gf2Matrix,
@@ -40,6 +46,27 @@ from pivotgraph.cli import (
 )
 
 ISOMORPHISM_CAP = 8
+SRC = Path(__file__).resolve().parents[1] / "src"
+CHILD_TIMEOUT = 60  # seconds
+
+
+def run_child(args, stdin=subprocess.DEVNULL, env=None, unset=(), program=sys.executable, **popen):
+    """Run ``program *args`` on this checkout's ``src/``, killed after ``CHILD_TIMEOUT`` s.
+
+    ``stdin`` is bytes or str fed through a pipe, or any popen stdin, such
+    as an open file.  The child's environment is the parent's, less each
+    variable whose name starts with a prefix in ``unset``, plus ``env``,
+    with ``SRC`` first on PYTHONPATH.  stdout and stderr are captured
+    unless ``popen`` says otherwise; its other options (``text``, ``cwd``,
+    ``preexec_fn``) pass through.  Returns the CompletedProcess.
+    """
+    child_env = {k: v for k, v in os.environ.items() if not k.startswith(unset)}
+    child_env.update(env or {})
+    path = child_env.get("PYTHONPATH")
+    child_env["PYTHONPATH"] = f"{SRC}{os.pathsep}{path}" if path else str(SRC)
+    feed = {"input": stdin} if isinstance(stdin, (bytes, str)) else {"stdin": stdin}
+    popen = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **popen}
+    return subprocess.run([program, *args], env=child_env, timeout=CHILD_TIMEOUT, **feed, **popen)
 
 
 def labels(n):

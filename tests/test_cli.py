@@ -2,15 +2,13 @@ import contextlib
 import io
 import os
 import random
-import subprocess
 import sys
 import threading
-from pathlib import Path
 
 import pytest
 
 from pivotgraph import Graph, InputError, UnsupportedSizeError, cli, formats, sequences
-from helpers import argv_corpus, build_parser, random_loop_graph
+from helpers import SRC, argv_corpus, build_parser, random_loop_graph, run_child
 
 P3 = "a b\nb c\n"
 P4 = "a b\nb c\nc d\n"
@@ -230,14 +228,21 @@ def test_usage_errors():
 
 
 def test_module_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "pivotgraph.cli", "det"],
-        input=P4,
-        capture_output=True,
-        text=True,
-    )
+    proc = run_child(["-m", "pivotgraph.cli", "det"], P4, text=True)
     assert proc.returncode == 0
     assert proc.stdout == "1\n"
+
+
+def test_child_runs_this_checkouts_src(tmp_path, monkeypatch):
+    # the check perfbench/run.py's check_source makes before a benchmark run
+    monkeypatch.setenv("PYTHONPATH", str(tmp_path))
+    probe = ["-c", "import pivotgraph; print(pivotgraph.__file__)"]
+    want = f"{SRC / 'pivotgraph' / '__init__.py'}\n"
+    assert run_child(probe, text=True).stdout == want
+    # src/ comes before the parent's own entries
+    (tmp_path / "pivotgraph").mkdir()
+    (tmp_path / "pivotgraph" / "__init__.py").write_text("")
+    assert run_child(probe, text=True).stdout == want
 
 
 @pytest.mark.parametrize(
@@ -252,14 +257,9 @@ def test_module_entry_point():
 def test_unknown_vertex_message_ignores_hash_seed(argv, vertex):
     # the unknown vertices used to be checked in set order, which follows
     # string hashing, so the vertex named changed with PYTHONHASHSEED
-    src = str(Path(cli.__file__).resolve().parents[1])
     for seed in range(8):
-        proc = subprocess.run(
-            [sys.executable, "-m", "pivotgraph.cli", *argv],
-            input="vertex a\n",
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": str(seed)},
+        proc = run_child(
+            ["-m", "pivotgraph.cli", *argv], "vertex a\n", {"PYTHONHASHSEED": str(seed)}, text=True
         )
         outcome = (proc.returncode, proc.stdout, proc.stderr)
         assert outcome == (2, "", f"error: unknown vertex: {vertex!r}\n"), seed
@@ -289,13 +289,7 @@ def test_cli_import_skips_heavy_modules(tmp_path):
         "        codes.append(exc.code)\n"
         f"print(codes, sorted(m for m in {heavy!r} if m in sys.modules))\n"
     )
-    src = str(Path(cli.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-c", probe],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": src},
-    )
+    proc = run_child(["-c", probe], text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[0, 2, 2] []\n"
 
@@ -312,13 +306,9 @@ def test_non_utf8_input_is_input_error(run, tmp_path):
 def test_non_utf8_stdin_fails_in_any_locale(locale):
     # under the C locale stdin used to decode with surrogate escapes, so the
     # byte became a vertex named '\udcff' and the command succeeded
-    env = {k: v for k, v in os.environ.items() if not k.startswith(("PYTHONUTF8", "PYTHONIOENC"))}
-    env.update(LC_ALL=locale, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "pivotgraph.cli", "det"],
-        input=b"a \xff\n",
-        capture_output=True,
-        env=env,
+    proc = run_child(
+        ["-m", "pivotgraph.cli", "det"], b"a \xff\n", {"LC_ALL": locale},
+        unset=("PYTHONUTF8", "PYTHONIOENC"),
     )
     assert (proc.returncode, proc.stdout) == (2, b"")
     assert proc.stderr == b"error: cannot read stdin: not UTF-8 at byte 2\n"
@@ -340,15 +330,10 @@ def test_output_is_utf8_in_any_locale(setting, tmp_path):
     # in the next command of a pipe, and an ascii one ended in a traceback;
     # in an ascii locale that Python does not coerce to UTF-8, a vertex named
     # on the command line was read in the locale's encoding, so 'é' was unknown
-    keep = ("PYTHONUTF8", "PYTHONIOENC", "PYTHONCOERCE", "LC_ALL")
-    env = {k: v for k, v in os.environ.items() if not k.startswith(keep)}
-    env.update(setting, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    unset = ("PYTHONUTF8", "PYTHONIOENC", "PYTHONCOERCE", "LC_ALL")
 
     def fresh(argv, data=b""):
-        proc = subprocess.run(
-            [sys.executable, "-m", "pivotgraph.cli", *argv],
-            input=data, capture_output=True, env=env, timeout=60,
-        )
+        proc = run_child(["-m", "pivotgraph.cli", *argv], data, setting, unset)
         return proc.returncode, proc.stdout, proc.stderr
 
     code, answer, err = fresh(["pivot", "a", "é"], "a é\n".encode())
@@ -528,19 +513,13 @@ def _fresh(argv, tmp_path, doc="", unbuffered=False, **popen):
     """Run one request as ``python -m pivotgraph.cli``; return (exit code,
     stdout bytes, stderr bytes).  Its stdout is block-buffered, or unbuffered
     under PYTHONUNBUFFERED=1 when ``unbuffered`` is set, as the benchmark's
-    requests may run."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    env.pop("PYTHONUNBUFFERED", None)
-    if unbuffered:
-        env["PYTHONUNBUFFERED"] = "1"
+    requests may run.  stdin is a file holding ``doc``."""
     path = tmp_path / "in"
     path.write_bytes(doc if isinstance(doc, bytes) else doc.encode())
-    popen = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **popen}
+    env = {"PYTHONUNBUFFERED": "1"} if unbuffered else None
     with open(path, "rb") as fin:
-        proc = subprocess.run(
-            [sys.executable, "-m", "pivotgraph.cli", *argv], stdin=fin, env=env, timeout=60,
-            **popen,
+        proc = run_child(
+            ["-m", "pivotgraph.cli", *argv], fin, env, unset=("PYTHONUNBUFFERED",), **popen
         )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -586,12 +565,7 @@ def test_unbuffered_process_replies_as_main(run, capsys, tmp_path, argv, doc):
 
 
 def test_profiler_still_reports():
-    src = str(Path(cli.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-m", "cProfile", "-m", "pivotgraph.cli", "det"],
-        input=P4, capture_output=True, text=True, timeout=60,
-        env={**os.environ, "PYTHONPATH": src},
-    )
+    proc = run_child(["-m", "cProfile", "-m", "pivotgraph.cli", "det"], P4, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("1\n") and "function calls" in proc.stdout
     assert "Ordered by:" in proc.stdout

@@ -10,10 +10,8 @@ behind two constants, so that tool is run here on a small grid.
 import ast
 import importlib.util
 import io
-import os
 import re
 import shlex
-import subprocess
 import sys
 import tokenize
 from pathlib import Path
@@ -21,6 +19,7 @@ from pathlib import Path
 import pytest
 
 from pivotgraph import cli
+from helpers import run_child
 
 ROOT = Path(__file__).resolve().parents[1]
 README = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -58,11 +57,8 @@ def test_readme_examples_run(command, shown, tmp_path):
     # the README shows a failing command's status with `|| echo "exit $?"`,
     # so every example as a whole exits 0
     entry = f"{shlex.quote(sys.executable)} -m pivotgraph.cli"
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    proc = subprocess.run(
-        ["bash", "-c", re.sub(r"\bpivotgraph\b", entry, command)],
-        stdin=subprocess.DEVNULL, capture_output=True, cwd=tmp_path, env=env, timeout=60,
-    )
+    script = re.sub(r"\bpivotgraph\b", entry, command)
+    proc = run_child(["-c", script], program="bash", cwd=tmp_path)
     assert (proc.returncode, proc.stdout.decode("utf-8")) == (0, shown), proc.stderr
 
 
