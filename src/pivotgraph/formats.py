@@ -36,7 +36,7 @@ from bisect import bisect_right
 from itertools import compress, islice, takewhile
 
 from .errors import InputError, ParseError
-from .gf2 import Gf2Matrix, _columns, _items, _transpose, _vertex_ids
+from .gf2 import Gf2Matrix, _items, _transpose, _vertex_ids
 from .graph import Graph, _bit_rows, _expect, _sorted_ids
 from .sequences import LocalComp, Pivot, _validated
 
@@ -198,29 +198,17 @@ def _parse_graph6(text: str) -> Graph:
         raise ParseError(
             f"graph6 payload has {len(data) - idx} data byte(s), expected {nbytes}"
         )
-    # vertex labels sort as strings ("10" < "2"): position p holds order[p]
-    order = sorted(range(n), key=str)
-    labels = tuple(map(str, order))
     # pad to whole base64 quads with zero digits, then read the bits as text
     payload = data[idx:].translate(_G6_BASE64)
     payload += b"A" * (-len(payload) % 4)
     value = int.from_bytes(a2b_base64(payload), "big")
     bits = format(value, f"0{6 * len(payload)}b").encode("ascii")
     # the payload lists column j of the upper triangle, the entries (i, j)
-    # with i < j, as one slice: lay it left of the diagonal in row j of the
-    # n x n matrix m, then copy each column below the diagonal into its row
-    # right of the diagonal with one strided slice
-    m = bytearray(b"0") * (n * n)
-    for j in range(1, n):
-        m[j * n : j * n + j] = bits[j * (j - 1) // 2 : j * (j + 1) // 2]
-    for i in range(n - 1):
-        m[i * n + i + 1 : (i + 1) * n] = m[(i + 1) * n + i :: n]
-    # stack the rows highest position first; as m is symmetric, column v of
-    # the stack is row v with its columns in that order, the bit string of
-    # row v with bit p at column order[p]
-    stack = b"".join([m[v * n : (v + 1) * n] for v in reversed(order)])
-    rows = _columns(stack, n, order)
-    return Graph._of(Gf2Matrix._trusted(labels, rows))
+    # with i < j, as one slice; reversed, it reads as row j below the
+    # diagonal, and the transpose fills each row above it
+    low = [int(bits[j * (j - 1) // 2 : j * (j + 1) // 2][::-1] or b"0", 2) for j in range(n)]
+    rows = tuple(map(int.__or__, low, _transpose(low, n, range(n))))
+    return Graph.from_adjacency_matrix(Gf2Matrix._trusted(tuple(map(str, range(n))), rows))
 
 
 def _token(label, reserved: str = "#") -> str:

@@ -18,16 +18,11 @@ __all__ = ["Gf2Matrix"]
 Label = Hashable
 
 
-def _columns(stack, n: int, cols) -> tuple:
-    """Columns ``cols`` of the digit matrix ``stack``, rows of ``n`` digits, the first highest."""
-    return tuple(int(stack[c::n], 2) for c in cols)
-
-
 def _transpose(rows: Sequence[int], n: int, pos: Sequence[int]) -> tuple:
     """The transpose of ``rows[pos][:, pos]`` for rows of at most ``n`` bits; ``pos`` may repeat."""
     # stacked last position first, so column n - 1 - q holds bit q
     stack = "".join(map(format, map(rows.__getitem__, reversed(pos)), repeat(f"0{n}b")))
-    return _columns(stack, n, [n - 1 - q for q in pos])
+    return tuple(int(stack[n - 1 - q :: n], 2) for q in pos)
 
 
 def _ones(bits: int) -> Iterator[int]:
@@ -454,4 +449,4 @@ class Gf2Matrix:
         return hash((self._labels, self._rows))
 
     def __repr__(self) -> str:
-        return f"Gf2Matrix({list(self._labels)!r}, {self.to_dense()!r})"
+        return f"Gf2Matrix.from_dense({list(self._labels)!r}, {self.to_dense()!r})"

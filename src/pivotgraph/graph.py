@@ -1,5 +1,6 @@
 """Graph values (simple or with loops) and the complementation/pivot operations."""
 
+from bisect import insort
 from collections.abc import Iterable, Sequence
 from itertools import accumulate
 from operator import xor
@@ -155,15 +156,18 @@ def _sorted_ids(ids: Iterable) -> tuple:
     try:
         return tuple(sorted(ids))
     except TypeError:
-        reps = {}  # the smallest repr of each type met
-        for x in sorted(ids, key=repr):
-            for y in reps.values():
+        xs = sorted(ids, key=repr)
+    done = []
+    for x in xs:
+        try:
+            insort(done, x)
+        except TypeError:
+            for y in xs:  # the first id in repr order that does not compare with x
                 try:
                     sorted((y, x))
                 except TypeError:
                     raise InputError(f"vertex ids {y!r} and {x!r} cannot be ordered") from None
-            reps.setdefault(type(x), x)
-        raise InputError("vertex ids cannot be ordered") from None
+    raise InputError("vertex ids cannot be ordered")
 
 
 def _bit_rows(labels: tuple, us: Sequence, vs: Sequence, loops: Iterable) -> tuple:

@@ -416,6 +416,7 @@ def test_graph6_against_networkx():
             ("", "expected one graph6 line, got 0"),
             (" \n\t\n", "expected one graph6 line, got 0"),
             ("Bw\nBw\n", "expected one graph6 line, got 2"),
+            (">>graph6<<", "empty graph6 payload"),
             # order says 3 vertices but no payload
             ("B", "graph6 payload has 0 data byte(s), expected 1"),
             # extra payload byte

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import pivotgraph
 from pivotgraph import (
     Gf2Matrix,
     Graph,
@@ -76,20 +77,28 @@ def test_constructor_names_unorderable_vertices():
     with pytest.raises(InputError) as err:
         Graph(vertices=[1, 2], loops=["a"])
     assert "'a'" in str(err.value) and ("1" in str(err.value) or "2" in str(err.value))
+    # ids of one type that do not compare: each compares with (0,), the smallest tuple
+    with pytest.raises(InputError) as err:
+        Graph([(0,), (1, "a"), (1, 2)])
+    assert str(err.value) == "vertex ids (1, 'a') and (1, 2) cannot be ordered"
 
 
 def test_unorderable_message_ignores_hash_seed():
     # the clash used to be searched in set order, which follows string hashing
     code = (
         "from pivotgraph import Graph, InputError\n"
-        "try:\n    Graph(['a', 1, 'b', 2.5, 'c'])\n"
-        "except InputError as err:\n    print(err)\n"
+        "for ids in (['a', 1, 'b', 2.5, 'c'], [(1, 2), (0,), (1, 'a')]):\n"
+        "    try:\n        Graph(ids)\n"
+        "    except InputError as err:\n        print(err)\n"
     )
     outputs = {
         run_child(["-c", code], env={"PYTHONHASHSEED": str(seed)}, text=True).stdout
         for seed in range(8)
     }
-    assert outputs == {"vertex ids 'a' and 1 cannot be ordered\n"}
+    assert outputs == {
+        "vertex ids 'a' and 1 cannot be ordered\n"
+        "vertex ids (1, 'a') and (1, 2) cannot be ordered\n"
+    }
 
 
 def test_repeated_edges_and_loops_are_one():
@@ -104,6 +113,14 @@ def test_equality_and_hash():
     assert g == h and hash(g) == hash(h)
     assert g != Graph(edges=[("a", "b")])
     assert Graph(["a"]) != Graph(["a"], loops=["a"])
+
+
+def test_repr_evaluates_to_an_equal_value():
+    g = Graph(["d"], edges=[("a", "b"), ("b", "c")], loops=["c"])
+    m = Gf2Matrix("ab", [2, 1])
+    assert repr(m) == "Gf2Matrix.from_dense(['a', 'b'], [[0, 1], [1, 0]])"
+    for x in (m, g):
+        assert eval(repr(x), vars(pivotgraph)) == x
 
 
 def test_neighbors_and_queries():
