@@ -1,5 +1,14 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "PivotGraphError",
+    "InputError",
+    "ParseError",
+    "NotApplicableError",
+    "SingularPivotError",
+    "UnsupportedSizeError",
+]
+
 
 class PivotGraphError(Exception):
     """Base class for all library errors."""

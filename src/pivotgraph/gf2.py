@@ -6,10 +6,9 @@ every operation returns a new matrix.  The determinant of the empty (0 x 0)
 matrix is 1.
 """
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Hashable, Iterable, Iterator, Sequence
 from itertools import repeat
 from operator import index
-from typing import Hashable, Optional
 
 from .errors import InputError, SingularPivotError
 
@@ -123,7 +122,7 @@ def _flush(rows: list, taken: int, fresh: int) -> None:
         rows[x] = r
 
 
-def _pivot_out(rows: list, live: int, first: Optional[int] = None) -> tuple:
+def _pivot_out(rows: list, live: int, first: int | None = None) -> tuple:
     """Pivot the positions in the bitmask ``live`` out of ``rows``, in place.
 
     Each step applies the principal pivot transform of one block of det 1
@@ -394,7 +393,7 @@ class Gf2Matrix:
         """
         return 0 if _pivot_out(list(self._rows), (1 << self.order) - 1)[1] else 1
 
-    def kernel_witness(self) -> Optional[frozenset]:
+    def kernel_witness(self) -> frozenset | None:
         """A non-empty label set whose rows sum to zero, or None if det = 1.
 
         The returned set S certifies singularity: every row has an even

@@ -7,8 +7,7 @@ set of vertices it touches an odd number of times; for applicable sequences
 the support alone determines the result.
 """
 
-from collections.abc import Iterable
-from typing import Hashable, Optional, Union
+from collections.abc import Hashable, Iterable
 
 from .errors import InputError, NotApplicableError, SingularPivotError, UnsupportedSizeError
 from .gf2 import Gf2Matrix, _items, _mask, _ones, _pivot_out, _vertex_ids, _walk_nonsingular
@@ -102,10 +101,10 @@ class LocalComp(_Op):
         return frozenset((self.u,))
 
 
-Op = Union[Pivot, LocalComp]
+Op = Pivot | LocalComp
 
 
-def _validated(G: Optional[Graph], seq: Iterable) -> tuple:
+def _validated(G: Graph | None, seq: Iterable) -> tuple:
     ops = _items(seq, "seq")
     for op in ops:
         if not isinstance(op, (Pivot, LocalComp)):
@@ -221,7 +220,7 @@ def synthesize_reduced(G: Graph, subset: Iterable, anchor=None) -> tuple:
     )
 
 
-def reduce_to_empty(G: Graph) -> Optional[tuple]:
+def reduce_to_empty(G: Graph) -> tuple | None:
     """Reduced applicable sequence covering every vertex, or None.
 
     Exists iff the full adjacency determinant is 1.  Read with deletions

@@ -276,22 +276,25 @@ def test_cli_import_skips_heavy_modules(tmp_path):
     ]
     path = tmp_path / "g.txt"
     path.write_text(P3)
-    probe = (
-        "import contextlib, io, sys\n"
-        "import pivotgraph.cli\n"
-        "quiet = io.StringIO()\n"
-        "with contextlib.redirect_stdout(quiet), contextlib.redirect_stderr(quiet):\n"
-        f"    codes = [pivotgraph.cli.main(['pivot', 'a', 'b', {str(path)!r}]),\n"
-        "             pivotgraph.cli.main(['det', '/no/such/file'])]\n"
-        "    try:\n"
-        "        pivotgraph.cli.main(['pivot', 'a'])\n"
-        "    except SystemExit as exc:\n"
-        "        codes.append(exc.code)\n"
-        f"print(codes, sorted(m for m in {heavy!r} if m in sys.modules))\n"
-    )
-    proc = run_child(["-c", probe], text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[0, 2, 2] []\n"
+    # a .pth file run by site may import typing itself, so typing is only
+    # checked under -S, where the interpreter loads no more than it must
+    for flags, modules in [([], heavy), (["-S"], [*heavy, "typing"])]:
+        probe = (
+            "import contextlib, io, sys\n"
+            "import pivotgraph.cli\n"
+            "quiet = io.StringIO()\n"
+            "with contextlib.redirect_stdout(quiet), contextlib.redirect_stderr(quiet):\n"
+            f"    codes = [pivotgraph.cli.main(['pivot', 'a', 'b', {str(path)!r}]),\n"
+            "             pivotgraph.cli.main(['det', '/no/such/file'])]\n"
+            "    try:\n"
+            "        pivotgraph.cli.main(['pivot', 'a'])\n"
+            "    except SystemExit as exc:\n"
+            "        codes.append(exc.code)\n"
+            f"print(codes, sorted(m for m in {modules!r} if m in sys.modules))\n"
+        )
+        proc = run_child([*flags, "-c", probe], text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[0, 2, 2] []\n", flags
 
 
 def test_non_utf8_input_is_input_error(run, tmp_path):

@@ -96,6 +96,16 @@ def test_table_covers_the_public_api():
     assert set(TABLE) == _public_names()
 
 
+def test_each_public_name_is_declared_once():
+    modules = [pivotgraph.errors, pivotgraph.formats, pivotgraph.gf2, pivotgraph.graph,
+               pivotgraph.matchings, pivotgraph.sequences]
+    assert len(set(pivotgraph.__all__)) == len(pivotgraph.__all__)
+    assert pivotgraph.__all__ == [name for module in modules for name in module.__all__]
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(pivotgraph, name) is getattr(module, name), name
+
+
 @pytest.mark.parametrize("name", sorted(TABLE))
 def test_good_arguments_are_accepted(name):
     f, args = TABLE[name]
