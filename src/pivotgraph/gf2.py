@@ -128,11 +128,10 @@ def _pivot_out(rows: list, live: int, first: int | None = None) -> tuple:
     Each step applies the principal pivot transform of one block of det 1
     to every row: the lowest looped position left in ``live``, failing that
     the lowest edge inside ``live`` (both ends loop-free, as no loop is
-    left).  The first block must contain ``first`` when it is given: alone
-    when looped, else with its lowest loop-free neighbour in ``live``.  The
-    transforms compose to the ppt on the positions taken.  Positions are
-    left over when det of the submatrix on ``live`` is 0, or when ``first``
-    finds no block.
+    left).  ``first`` is a preference: the first block holds it alone when
+    looped, else with its lowest loop-free neighbour in ``live``, if it has
+    either.  The transforms compose to the ppt on the positions taken.
+    Positions are left over exactly when det of the submatrix on ``live`` is 0.
 
     Each block updates only the rows in ``fresh``, which are kept up to
     date; a direct walk starts with every row there.  A walk over at least
@@ -150,6 +149,8 @@ def _pivot_out(rows: list, live: int, first: int | None = None) -> tuple:
     diag = 0
     for p in _ones(live):
         diag |= rows[p] & 1 << p
+    if first is not None and not rows[first] & (live & ~diag | 1 << first):
+        first = None
     blocks = []
     batch = live.bit_count() >= BATCH_MIN
     # the positions taken since the last flush, and the rows up to date since
@@ -181,7 +182,7 @@ def _pivot_out(rows: list, live: int, first: int | None = None) -> tuple:
                 if nbrs:
                     break
             else:
-                # no block: the rest is singular, or ``first`` has no partner
+                # no block: the rest is singular
                 break
             w = (nbrs & -nbrs).bit_length() - 1
             block = 1 << u | 1 << w

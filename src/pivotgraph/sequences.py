@@ -191,12 +191,12 @@ def synthesize_reduced(G: Graph, subset: Iterable, anchor=None) -> tuple:
     At each step the smallest looped vertex in the remaining support is
     taken, else the lexicographically smallest edge inside it; both choices
     keep the remaining support's determinant at 1, so the greedy walk always
-    terminates.  With ``anchor`` the first operation must touch the anchor;
-    on simple graphs one always exists, on loop graphs it may not.
+    terminates.  With ``anchor`` the first operation touches the anchor if
+    any can; on simple graphs one always can, on loop graphs it may not.
 
     Raises:
-        NotApplicableError: when det(A[S]) = 0, or when an anchor is given
-            and no applicable operation touches it.
+        NotApplicableError: when det(A[S]) = 0, as the one walk leaves vertices
+            over, or when an anchor is given and the walk's first block misses it.
     """
     items = _items(subset, "subset")
     pos = _expect(G, Graph)._positions(items)
@@ -207,12 +207,9 @@ def synthesize_reduced(G: Graph, subset: Iterable, anchor=None) -> tuple:
     first = None if anchor is None else pos[items.index(anchor)]
     blocks, left = _pivot_out(list(A.rows), live, first)
     if left:
-        # after a first block (det 1) is taken, a stop means det(A[S]) = 0
-        if anchor is not None and not _pivot_out(list(A.rows), live)[1]:
-            raise NotApplicableError(
-                f"no applicable operation touches the anchor {anchor!r}"
-            )
         raise NotApplicableError("no applicable sequence has this support")
+    if first is not None and first not in blocks[0]:
+        raise NotApplicableError(f"no applicable operation touches the anchor {anchor!r}")
     labels = A.labels
     return tuple(
         LocalComp(labels[b[0]]) if len(b) == 1 else Pivot(labels[b[0]], labels[b[1]])

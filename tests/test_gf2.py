@@ -453,6 +453,41 @@ def test_pivot_out_modes_take_the_same_blocks_and_rows(monkeypatch):
 
 
 @pytest.mark.parametrize("mode", MODES)
+def test_pivot_out_leaves_positions_over_exactly_when_singular(monkeypatch, mode):
+    # ``first`` is a preference: the first block holds it when it has one
+    # (a loop, or a loop-free neighbour in live), and a ``first`` with none
+    # changes nothing, so whatever is left over certifies det A[live] = 0
+    monkeypatch.setattr(gf2, "BATCH_MIN", mode)
+    rng = random.Random(26)
+    seen = set()
+    for k in range(200):
+        n = rng.randint(96, 160) if k % 4 == 0 else rng.randint(1, 40)
+        rows = random_rows(rng, n, rng.choice((0.5, 0.1)), rng.choice((0.0, 0.3)))
+        live = (1 << n) - 1 if k % 3 == 0 else rng.getrandbits(n)
+        positions = [x for x in range(n) if live >> x & 1]
+        m = Gf2Matrix(range(n), rows).principal_submatrix(positions)
+        singular = rank_by_elimination(m) < len(positions)
+        plain = list(rows)
+        without = (gf2._pivot_out(plain, live), plain)
+        assert bool(without[0][1]) == singular
+        loop_free = [x for x in positions if not rows[x] >> x & 1]
+        for first in positions if n <= 40 else rng.sample(positions, min(6, len(positions))):
+            out = list(rows)
+            blocks, left = gf2._pivot_out(out, live, first)
+            assert bool(left) == singular
+            partners = [x for x in loop_free if rows[first] >> x & 1]
+            if rows[first] >> first & 1:
+                assert blocks[0] == (first,)
+            elif partners:
+                assert blocks[0] == tuple(sorted((first, partners[0])))
+            else:
+                assert first not in (blocks[0] if blocks else ())
+                assert ((blocks, left), out) == without
+            seen.add((singular, bool(rows[first] >> first & 1 or partners)))
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+
+@pytest.mark.parametrize("mode", MODES)
 def test_large_walks_match_independent_oracles(monkeypatch, mode):
     # orders above the default BATCH_MIN, checked in each mode against the
     # Gauss-Jordan rank, the block-inverse ppt and the witness's definition
