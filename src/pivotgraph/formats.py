@@ -178,10 +178,7 @@ def _parse_graph6(text: str) -> Graph:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if len(lines) != 1:
         raise ParseError(f"expected one graph6 line, got {len(lines)}")
-    line = lines[0]
-    if line.startswith(">>graph6<<"):
-        line = line[len(">>graph6<<") :]
-    data = _graph6_bytes(line)
+    data = _graph6_bytes(lines[0].removeprefix(">>graph6<<"))
     if not data:
         raise ParseError("empty graph6 payload")
     # the order is 1, 3 or 6 digits after 0, 1 or 2 bytes of 126 ("~")
@@ -243,22 +240,21 @@ _BRACKET = r"\[([^\[\]]*)\]"
 
 def parse_opseq(text: str):
     """Parse bracket groups into a tuple of operations."""
+    parts = re.split(_BRACKET, _text(text, "text"))
+    rest = " ".join(parts[::2]).split()
+    if rest:
+        raise ParseError(f"stray text outside brackets: {rest[0]!r}")
     ops = []
-    rest = re.sub(_BRACKET, " ", _text(text, "text"))
-    if rest.split():
-        raise ParseError(f"stray text outside brackets: {rest.split()[0]!r}")
-    for m in re.finditer(_BRACKET, text):
-        tokens = m.group(1).split()
+    for group in parts[1::2]:
+        tokens = group.split()
         if len(tokens) == 1:
             ops.append(LocalComp(tokens[0]))
         elif len(tokens) == 2:
             if tokens[0] == tokens[1]:
-                raise ParseError(f"pivot endpoints must differ: {m.group(0)}")
+                raise ParseError(f"pivot endpoints must differ: [{group}]")
             ops.append(Pivot(tokens[0], tokens[1]))
         else:
-            raise ParseError(
-                f"bracket group needs one or two vertices: {m.group(0)}"
-            )
+            raise ParseError(f"bracket group needs one or two vertices: [{group}]")
     return tuple(ops)
 
 

@@ -50,6 +50,10 @@ class _Op:
     def _key(self) -> tuple:
         return tuple(getattr(self, f) for f in self.__match_args__)
 
+    @property
+    def touched(self) -> frozenset:
+        return frozenset(self._key())
+
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
 
@@ -83,10 +87,6 @@ class Pivot(_Op):
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
 
-    @property
-    def touched(self) -> frozenset:
-        return frozenset((self.u, self.v))
-
 
 class LocalComp(_Op):
     """Loop rule at u; applicable when u carries a loop."""
@@ -95,10 +95,6 @@ class LocalComp(_Op):
 
     def __init__(self, u: Vertex):
         object.__setattr__(self, "u", u)
-
-    @property
-    def touched(self) -> frozenset:
-        return frozenset((self.u,))
 
 
 Op = Pivot | LocalComp

@@ -429,6 +429,9 @@ def test_graph6_against_networkx():
             ("B\x1fw", "invalid graph6 byte at offset 1"),
             ("B\x7fw", "invalid graph6 byte at offset 1"),
             ("Bé", "graph6 data must be ascii"),
+            # one header is stripped, and nothing after it
+            (">>graph6<<>>graph6<<A_", "invalid graph6 byte at offset 0"),
+            (">>graph6<< A_", "invalid graph6 byte at offset 0"),
         ]
     ],
 )
@@ -467,12 +470,30 @@ def test_opseq_round_trip():
 
 
 @pytest.mark.parametrize(
-    "doc",
-    ["x [a b]", "[a b] y", "[a b c]", "[]", "[a a]", "[a b"],
+    "doc,message",
+    [
+        pytest.param(doc, message, id=doc)
+        for doc, message in [
+            ("x [a b]", "stray text outside brackets: 'x'"),
+            ("[a b] y", "stray text outside brackets: 'y'"),
+            # unclosed and nested groups leave their brackets outside
+            ("[a b", "stray text outside brackets: '[a'"),
+            ("a b]", "stray text outside brackets: 'a'"),
+            ("[a [b] c]", "stray text outside brackets: '[a'"),
+            ("[[a]", "stray text outside brackets: '['"),
+            ("[a]]", "stray text outside brackets: ']'"),
+            ("[a b c]", "bracket group needs one or two vertices: [a b c]"),
+            ("[]", "bracket group needs one or two vertices: []"),
+            ("[ ]", "bracket group needs one or two vertices: [ ]"),
+            ("[a b][c d e]", "bracket group needs one or two vertices: [c d e]"),
+            ("[a a]", "pivot endpoints must differ: [a a]"),
+        ]
+    ],
 )
-def test_opseq_errors(doc):
-    with pytest.raises(ParseError):
+def test_opseq_errors(doc, message):
+    with pytest.raises(ParseError) as err:
         parse_opseq(doc)
+    assert str(err.value) == message
 
 
 def test_serialize_opseq_validation():
