@@ -35,6 +35,8 @@ from .graph import Graph, local_complement, loop_complement, overlap_graph, pivo
 def _read_graph(args) -> Graph:
     # read bytes, so a file and stdin decode by one strict rule in any locale
     if args.input == "-":
+        if sys.stdin is None:  # the command was started with it closed
+            raise InputError("cannot read stdin: closed")
         where, data = "stdin", sys.stdin.buffer.read()
     else:
         where = repr(args.input)

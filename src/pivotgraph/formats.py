@@ -163,22 +163,17 @@ _G6_BASE64 = bytes.maketrans(
 )
 
 
-def _graph6_bytes(line: str) -> bytes:
+def _parse_graph6(text: str) -> Graph:
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    if len(lines) != 1:
+        raise ParseError(f"expected one graph6 line, got {len(lines)}")
     try:
-        data = line.encode("ascii")
+        data = lines[0].removeprefix(">>graph6<<").encode("ascii")
     except UnicodeEncodeError:
         raise ParseError("graph6 data must be ascii") from None
     if data.translate(None, _G6_RANGE):
         pos = next(i for i, b in enumerate(data) if b < 63 or b > 126)
         raise ParseError(f"invalid graph6 byte at offset {pos}")
-    return data
-
-
-def _parse_graph6(text: str) -> Graph:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if len(lines) != 1:
-        raise ParseError(f"expected one graph6 line, got {len(lines)}")
-    data = _graph6_bytes(lines[0].removeprefix(">>graph6<<"))
     if not data:
         raise ParseError("empty graph6 payload")
     # the order is 1, 3 or 6 digits after 0, 1 or 2 bytes of 126 ("~")
@@ -269,13 +264,10 @@ def parse_vertex_set(text: str) -> frozenset:
     """Comma-separated vertex tokens; the empty string is the empty set."""
     if not _text(text, "text").strip():
         return frozenset()
-    out = []
-    for part in text.split(","):
-        tok = part.strip()
-        if not tok:
-            raise ParseError(f"empty vertex token in set: {text!r}")
-        out.append(tok)
-    return frozenset(out)
+    toks = [part.strip() for part in text.split(",")]
+    if "" in toks:
+        raise ParseError(f"empty vertex token in set: {text!r}")
+    return frozenset(toks)
 
 
 def serialize_vertex_set(vertices) -> str:

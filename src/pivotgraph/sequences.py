@@ -147,7 +147,7 @@ def apply(G: Graph, seq: Iterable) -> Graph:
         try:
             H = pivot(H, op.u, op.v) if isinstance(op, Pivot) else loop_complement(H, op.u)
         except NotApplicableError:
-            text = f"{op.u} {op.v}" if isinstance(op, Pivot) else op.u
+            text = " ".join(map(str, op._key()))
             raise NotApplicableError(
                 f"operation {i + 1} of {len(ops)} ([{text}]) is not applicable"
             ) from None
@@ -226,6 +226,14 @@ def reduce_to_empty(G: Graph) -> tuple | None:
         return None
 
 
+def _order(G: Graph, cap: int, name: str) -> int:
+    """G's vertex count; UnsupportedSizeError when it is above ``cap``."""
+    n = len(_expect(G, Graph).vertices)
+    if n > cap:
+        raise UnsupportedSizeError(f"{name} supports at most {cap} vertices, got {n}")
+    return n
+
+
 def orbit(G: Graph) -> list:
     """All graphs reachable by applicable sequences, G included.
 
@@ -234,11 +242,7 @@ def orbit(G: Graph) -> list:
     One walk over those subsets reaches each S by ppt steps on blocks of
     det 1, and each member is read off the walk's rows at S.
     """
-    n = len(_expect(G, Graph).vertices)
-    if n > ORBIT_CAP:
-        raise UnsupportedSizeError(
-            f"orbit supports at most {ORBIT_CAP} vertices, got {n}"
-        )
+    n = _order(G, ORBIT_CAP, "orbit")
     A = G.adjacency_matrix()
     seen = {A.rows}
 
@@ -262,11 +266,7 @@ def count_applicable_supports(G: Graph) -> int:
     counted subset costs at most one pass of row updates and the others
     cost nothing.
     """
-    n = len(_expect(G, Graph).vertices)
-    if n > COUNT_CAP:
-        raise UnsupportedSizeError(
-            f"count_applicable_supports supports at most {COUNT_CAP} vertices, got {n}"
-        )
+    n = _order(G, COUNT_CAP, "count_applicable_supports")
     return 1 + _walk_nonsingular(G.adjacency_matrix().rows, (1 << n) - 1, None)
 
 

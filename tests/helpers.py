@@ -225,8 +225,9 @@ def minor_bruteforce(G, subset):
     return det_bruteforce(G.induced_subgraph(subset).adjacency_matrix())
 
 
-def _vertex_subsets(G):
-    verts = G.vertices
+def vertex_subsets(verts):
+    """Every subset of ``verts``, as frozensets."""
+    verts = tuple(verts)
     for mask in range(1 << len(verts)):
         yield frozenset(v for i, v in enumerate(verts) if (mask >> i) & 1)
 
@@ -254,12 +255,12 @@ def apply_support_entrywise(G, subset):
 
 def count_supports_bruteforce(G):
     """Number of vertex subsets S with det(A[S]) = 1, one minor per subset."""
-    return sum(minor_bruteforce(G, S) for S in _vertex_subsets(G))
+    return sum(minor_bruteforce(G, S) for S in vertex_subsets(G.vertices))
 
 
 def orbit_bruteforce(G):
     """Distinct entrywise support results over every subset, sorted like ``orbit``."""
-    seen = {apply_support_entrywise(G, S) for S in _vertex_subsets(G)}
+    seen = {apply_support_entrywise(G, S) for S in vertex_subsets(G.vertices)}
     seen.discard(None)
     return sorted(seen, key=lambda g: (g.edges, tuple(sorted(g.loops))))
 
@@ -267,7 +268,7 @@ def orbit_bruteforce(G):
 def stabilizer_bruteforce(G):
     """The vertex sets X with det(A[X]) = 1 and A*X = A, one block-inverse ppt per subset."""
     A = G.adjacency_matrix()
-    return [S for S in _vertex_subsets(G) if ppt_by_block_inverse(A, S) == A]
+    return [S for S in vertex_subsets(G.vertices) if ppt_by_block_inverse(A, S) == A]
 
 
 def _pairings(items):

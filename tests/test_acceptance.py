@@ -43,6 +43,7 @@ from helpers import (
     random_applicable_sequence,
     random_loop_graph,
     random_simple_graph,
+    vertex_subsets,
 )
 
 
@@ -50,12 +51,6 @@ def _pass(num, label, started):
     elapsed = time.perf_counter() - started
     print(f"acceptance {num:02d} {label}: PASS ({elapsed:.1f}s)")
     return elapsed
-
-
-def _subsets(verts):
-    verts = tuple(verts)
-    for mask in range(1 << len(verts)):
-        yield frozenset(v for i, v in enumerate(verts) if (mask >> i) & 1)
 
 
 def test_criterion_01_overlap_word_golden():
@@ -106,7 +101,7 @@ def test_criterion_03_pivot_determinant_transfer():
             A = g.adjacency_matrix()
             for u, v in g.edges:
                 B = pivot(g, u, v).adjacency_matrix()
-                for Y in _subsets(g.vertices):
+                for Y in vertex_subsets(g.vertices):
                     assert (
                         B.principal_submatrix(Y).det()
                         == A.principal_submatrix(Y ^ {u, v}).det()
@@ -117,7 +112,7 @@ def test_criterion_03_pivot_determinant_transfer():
             A = g.adjacency_matrix()
             for u in sorted(g.loops):
                 B = loop_complement(g, u).adjacency_matrix()
-                for Y in _subsets(g.vertices):
+                for Y in vertex_subsets(g.vertices):
                     assert (
                         B.principal_submatrix(Y).det()
                         == A.principal_submatrix(Y ^ {u}).det()
@@ -162,7 +157,7 @@ def test_criterion_05_reduced_synthesis():
     for n in range(6):
         for g in all_simple_graphs(n):
             A = g.adjacency_matrix()
-            for S in _subsets(g.vertices):
+            for S in vertex_subsets(g.vertices):
                 if A.principal_submatrix(S).det() == 0:
                     with pytest.raises(NotApplicableError):
                         synthesize_reduced(g, S)
@@ -300,7 +295,7 @@ def test_criterion_09_applicable_support_counts():
     for n in range(6):
         for g in all_simple_graphs(n):
             expected = sum(
-                pm_bruteforce(g.induced_subgraph(S)) for S in _subsets(g.vertices)
+                pm_bruteforce(g.induced_subgraph(S)) for S in vertex_subsets(g.vertices)
             )
             assert count_applicable_supports(g) == expected
     _pass(9, "applicable support counts", t0)

@@ -53,6 +53,12 @@ def test_missing_file(run):
     assert "cannot read" in err
 
 
+def test_closed_stdin_is_an_input_error(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", None)
+    assert cli.main(["det"]) == 2
+    assert capsys.readouterr() == ("", "error: cannot read stdin: closed\n")
+
+
 def test_graph6_input(run):
     assert run(["det", "-f", "graph6"], "Bw\n") == (0, "0\n", "")
     code, out, err = run(["pm", "-f", "graph6"], "not graph6 at all")
@@ -646,3 +652,20 @@ def test_closed_stderr_keeps_the_exit_code(tmp_path, argv, doc, want, unbuffered
     argv = [str(tmp_path / a) if a == "missing.txt" else a for a in argv]
     code, out, _ = _fresh(argv, tmp_path, doc, unbuffered, stderr=None, preexec_fn=lambda: os.close(2))
     assert (code, out) == (want, b"")
+
+
+# "<&-" starts with no stdin: a request that reads it is refused, and one
+# that reads a file or no graph at all still answers
+CLOSED_STDIN = [
+    (["det"], 2, b"", b"error: cannot read stdin: closed\n"),
+    (["det", "in"], 0, b"1\n", b""),
+    (["overlap", "--word", "1 2 1 2"], 0, b"1 2\n", b""),
+]
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv, code, out, err", CLOSED_STDIN, ids=["det stdin", "det file", "overlap"])
+def test_closed_stdin(tmp_path, argv, code, out, err, unbuffered):
+    argv = [str(tmp_path / a) if a == "in" else a for a in argv]
+    got = _fresh(argv, tmp_path, P4, unbuffered, preexec_fn=lambda: os.close(0))
+    assert got == (code, out, err)

@@ -544,7 +544,7 @@ def test_parse_vertex_set():
     assert parse_vertex_set("a") == frozenset("a")
     assert parse_vertex_set("a, b ,c") == frozenset("abc")
     assert parse_vertex_set("a,a") == frozenset("a")
-    with pytest.raises(ParseError):
-        parse_vertex_set("a,,b")
-    with pytest.raises(ParseError):
-        parse_vertex_set("a,")
+    for text in ("a,,b", "a,", ",a", " , "):
+        with pytest.raises(ParseError) as err:
+            parse_vertex_set(text)
+        assert str(err.value) == f"empty vertex token in set: {text!r}"

@@ -113,6 +113,8 @@ def test_equality_and_hash():
     assert g == h and hash(g) == hash(h)
     assert g != Graph(edges=[("a", "b")])
     assert Graph(["a"]) != Graph(["a"], loops=["a"])
+    assert Graph() != 5
+    assert Graph(["a"]) != Graph(["a"]).adjacency_matrix()
 
 
 def test_repr_evaluates_to_an_equal_value():

@@ -42,13 +42,8 @@ from helpers import (
     random_simple_graph,
     randomized_reduced_sequence,
     stabilizer_bruteforce,
+    vertex_subsets,
 )
-
-
-def subsets(verts):
-    verts = tuple(verts)
-    for mask in range(1 << len(verts)):
-        yield frozenset(v for i, v in enumerate(verts) if (mask >> i) & 1)
 
 
 def test_op_values():
@@ -131,10 +126,14 @@ def test_apply_reports_failing_index():
         ([Pivot("a", "b"), Pivot("a", "c"), Pivot("a", "b")],
          "operation 3 of 3 ([a b]) is not applicable"),
         ([Pivot("a", "c")], "operation 1 of 1 ([a c]) is not applicable"),
+        # int labels: 1 carries a loop, 3 does not
+        ([Pivot(1, 2)], "operation 1 of 1 ([1 2]) is not applicable"),
+        ([LocalComp(3)], "operation 1 of 1 ([3]) is not applicable"),
     ],
 )
 def test_apply_error_message(seq, message):
-    g = Graph(edges=[("a", "b"), ("b", "c")])
+    graphs = {str: Graph(edges=[("a", "b"), ("b", "c")]), int: Graph([3], [(1, 2)], [1])}
+    g = graphs[type(seq[0].u)]
     with pytest.raises(NotApplicableError) as err:
         apply(g, seq)
     assert str(err.value) == message
@@ -144,7 +143,7 @@ def test_apply_error_message(seq, message):
 def test_sequence_order_sensitivity_exhaustive_small():
     # an applicable sequence's result depends only on its support
     for g in all_simple_graphs(4):
-        for s in subsets(g.vertices):
+        for s in vertex_subsets(g.vertices):
             if not is_support_applicable(g, s):
                 continue
             seq = synthesize_reduced(g, s)
@@ -157,7 +156,7 @@ def test_sequence_order_sensitivity_exhaustive_small():
 def test_support_applicability_is_determinant():
     for g in all_simple_graphs(4):
         A = g.adjacency_matrix()
-        for s in subsets(g.vertices):
+        for s in vertex_subsets(g.vertices):
             assert is_support_applicable(g, s) == (A.principal_submatrix(s).det() == 1)
 
 
@@ -181,7 +180,7 @@ def test_apply_support_validation():
 def test_apply_support_edges_follow_matching_parity():
     # on simple graphs the closure's edges match the parity rule and no loops appear
     for g in all_simple_graphs(4):
-        for s in subsets(g.vertices):
+        for s in vertex_subsets(g.vertices):
             if not is_support_applicable(g, s):
                 continue
             out = apply_support(g, s)
@@ -223,7 +222,7 @@ def test_mixed_sequences_with_equal_support_agree():
 
 def test_synthesize_reduced_loop_graphs_exhaustive_small():
     for g in all_loop_graphs(3):
-        for s in subsets(g.vertices):
+        for s in vertex_subsets(g.vertices):
             if not is_support_applicable(g, s):
                 with pytest.raises(NotApplicableError):
                     synthesize_reduced(g, s)
@@ -251,7 +250,7 @@ def test_synthesize_anchor_validation():
 
 def test_synthesize_anchored_simple_graphs():
     for g in all_simple_graphs(4):
-        for s in subsets(g.vertices):
+        for s in vertex_subsets(g.vertices):
             if not is_support_applicable(g, s):
                 continue
             expected = apply_support_entrywise(g, s)
@@ -318,14 +317,15 @@ def test_orbit_members_are_reachable_and_closed():
         assert g in members
         # closure: applying any applicable support to any member stays inside
         for h in members[:4]:
-            for s in subsets(h.vertices):
+            for s in vertex_subsets(h.vertices):
                 if is_support_applicable(h, s):
                     assert apply_support(h, s) in members
 
 
 def test_orbit_cap():
-    with pytest.raises(UnsupportedSizeError):
+    with pytest.raises(UnsupportedSizeError) as err:
         orbit(Graph(range(13)))
+    assert str(err.value) == "orbit supports at most 12 vertices, got 13"
 
 
 def test_count_applicable_supports_frozen():
@@ -340,7 +340,7 @@ def test_count_applicable_supports_frozen():
 def test_count_applicable_supports_matches_matching_oracle():
     for g in all_simple_graphs(4):
         expected = sum(
-            pm_bruteforce(g.induced_subgraph(s)) for s in subsets(g.vertices)
+            pm_bruteforce(g.induced_subgraph(s)) for s in vertex_subsets(g.vertices)
         )
         assert count_applicable_supports(g) == expected
 
@@ -373,7 +373,7 @@ def _check_synthesis_against_greedy(g, s, anchor):
 
 def test_synthesize_reduced_matches_greedy_oracle_all_loop_graphs_4():
     for g in all_loop_graphs(4):
-        for s in subsets(g.vertices):
+        for s in vertex_subsets(g.vertices):
             for anchor in (None, *sorted(s)):
                 _check_synthesis_against_greedy(g, s, anchor)
 
@@ -431,8 +431,9 @@ def test_count_is_orbit_size_times_stabilizer_size():
 
 
 def test_count_cap():
-    with pytest.raises(UnsupportedSizeError):
+    with pytest.raises(UnsupportedSizeError) as err:
         count_applicable_supports(Graph(range(25)))
+    assert str(err.value) == "count_applicable_supports supports at most 24 vertices, got 25"
 
 
 def test_check_commutation_frozen():
