@@ -28,7 +28,7 @@ import sys
 from types import SimpleNamespace
 
 from . import formats, matchings, sequences
-from .errors import InputError, NotApplicableError, UnsupportedSizeError
+from .errors import InputError, NotApplicableError, PivotGraphError
 from .graph import Graph, local_complement, loop_complement, overlap_graph, pivot
 
 
@@ -271,7 +271,7 @@ def main(argv=None) -> int:
     try:
         G = _read_graph(args) if hasattr(args, "input") else None
         answer = args.func(G, args)
-    except (InputError, NotApplicableError, UnsupportedSizeError) as err:
+    except PivotGraphError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2 if isinstance(err, InputError) else 1
     sys.stdout.write(answer)

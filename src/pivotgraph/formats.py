@@ -256,7 +256,7 @@ def parse_opseq(text: str):
 def serialize_opseq(seq) -> str:
     """Bracket-group form of a sequence; inverse of parse_opseq."""
     return " ".join(
-        "[" + " ".join(_token(x, "#[]") for x in op._key()) + "]" for op in _validated(None, seq)
+        "[" + " ".join(_token(x, "#[]") for x in op) + "]" for op in _validated(None, seq)
     )
 
 

@@ -137,6 +137,9 @@ class Graph:
     def __hash__(self) -> int:
         return hash(self._matrix)
 
+    def __getstate__(self):  # pickle protocols 0 and 1 refuse __slots__ without it
+        return None, {s: getattr(self, s) for s in self.__slots__}
+
     def __repr__(self) -> str:
         return (
             f"Graph(vertices={list(self.vertices)!r}, "

@@ -8,6 +8,7 @@ the support alone determines the result.
 """
 
 from collections.abc import Hashable, Iterable
+from operator import itemgetter
 
 from .errors import InputError, NotApplicableError, SingularPivotError, UnsupportedSizeError
 from .gf2 import Gf2Matrix, _items, _mask, _ones, _pivot_out, _vertex_ids, _walk_nonsingular
@@ -36,65 +37,54 @@ ORBIT_CAP = 12
 COUNT_CAP = 24
 
 
-class _Op:
-    """Immutable value with the fields named in ``__match_args__``.
+class _Op(tuple):
+    """The tuple of the fields named in ``__match_args__``.
 
-    Equal only to an instance of the same class with equal fields.  A plain
-    class rather than a dataclass: importing ``dataclasses`` costs every
-    command several milliseconds.
+    Equal only to an instance of the same class with equal fields.  A tuple
+    rather than a dataclass: importing ``dataclasses`` costs every command
+    several milliseconds.
     """
 
     __slots__ = ()
-    __match_args__ = ()
-
-    def _key(self) -> tuple:
-        return tuple(getattr(self, f) for f in self.__match_args__)
-
-    @property
-    def touched(self) -> frozenset:
-        return frozenset(self._key())
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
+    touched = property(frozenset)
+    __hash__ = tuple.__hash__
+    __ne__ = object.__ne__  # the inverse of __eq__, where tuple's != compares fields only
 
     def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
+        # False, not NotImplemented: a plain tuple's own == would say equal
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
 
     def __repr__(self) -> str:
-        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
+        args = ", ".join(f"{f}={x!r}" for f, x in zip(self.__match_args__, self))
         return f"{type(self).__name__}({args})"
 
-    def __reduce__(self):
-        return type(self), self._key()
+    def __getnewargs__(self) -> tuple:
+        # copying and unpickling (protocol 2 on) call __new__, so they pass its check
+        return tuple(self)
 
 
 class Pivot(_Op):
     """Pivot on the edge uv; applicable when uv is an edge and both are loop-free."""
 
-    __slots__ = __match_args__ = ("u", "v")
+    __slots__ = ()
+    __match_args__ = ("u", "v")
+    u, v = property(itemgetter(0)), property(itemgetter(1))
 
-    def __init__(self, u: Vertex, v: Vertex):
+    def __new__(cls, u: Vertex, v: Vertex):
         if u == v:
             raise InputError("pivot endpoints must be distinct")
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
+        return super().__new__(cls, (u, v))
 
 
 class LocalComp(_Op):
     """Loop rule at u; applicable when u carries a loop."""
 
-    __slots__ = __match_args__ = ("u",)
+    __slots__ = ()
+    __match_args__ = ("u",)
+    u = property(itemgetter(0))
 
-    def __init__(self, u: Vertex):
-        object.__setattr__(self, "u", u)
+    def __new__(cls, u: Vertex):
+        return super().__new__(cls, (u,))
 
 
 Op = Pivot | LocalComp
@@ -106,9 +96,9 @@ def _validated(G: Graph | None, seq: Iterable) -> tuple:
         if not isinstance(op, (Pivot, LocalComp)):
             raise InputError(f"not an operation: {op!r}")
         if G is not None:
-            G._positions(op._key())
+            G._positions(op)
         else:
-            _vertex_ids(op._key(), "vertex")
+            _vertex_ids(op, "vertex")
     return ops
 
 
@@ -147,7 +137,7 @@ def apply(G: Graph, seq: Iterable) -> Graph:
         try:
             H = pivot(H, op.u, op.v) if isinstance(op, Pivot) else loop_complement(H, op.u)
         except NotApplicableError:
-            text = " ".join(map(str, op._key()))
+            text = " ".join(map(str, op))
             raise NotApplicableError(
                 f"operation {i + 1} of {len(ops)} ([{text}]) is not applicable"
             ) from None

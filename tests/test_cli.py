@@ -7,7 +7,7 @@ import threading
 
 import pytest
 
-from pivotgraph import Graph, InputError, UnsupportedSizeError, cli, formats, sequences
+from pivotgraph import Graph, InputError, PivotGraphError, UnsupportedSizeError, cli, formats, sequences
 from helpers import SRC, argv_corpus, build_parser, random_loop_graph, run_child
 
 P3 = "a b\nb c\n"
@@ -57,6 +57,15 @@ def test_closed_stdin_is_an_input_error(monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdin", None)
     assert cli.main(["det"]) == 2
     assert capsys.readouterr() == ("", "error: cannot read stdin: closed\n")
+
+
+def test_any_package_error_is_one_line(run, monkeypatch):
+    # a PivotGraphError of no subclass is refused as not applicable, not a traceback
+    def boom(G, args):
+        raise PivotGraphError("boom")
+
+    monkeypatch.setitem(cli.COMMANDS, "det", (boom, *cli.COMMANDS["det"][1:]))
+    assert run(["det"], P4) == (1, "", "error: boom\n")
 
 
 def test_graph6_input(run):

@@ -1,3 +1,4 @@
+import copy
 import pickle
 import random
 from itertools import combinations
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pivotgraph import (
+    Gf2Matrix,
     Graph,
     InputError,
     LocalComp,
@@ -82,6 +84,59 @@ def test_op_value_semantics():
     match LocalComp("c"):
         case LocalComp(w):
             assert w == "c"
+
+
+def test_op_is_the_tuple_of_its_fields():
+    p, c = Pivot("a", "b"), LocalComp("ab")
+    assert isinstance(p, tuple) and isinstance(c, tuple)
+    assert (len(p), p[0], p[-1], p[:1]) == (2, "a", "b", ("a",))
+    u, v = p
+    (w,) = c
+    assert (u, v, w) == ("a", "b", "ab")
+    assert "a" in p and "c" not in p and "a" not in c
+    assert c == LocalComp(u="ab") and len(c) == 1  # one field, not the string's letters
+    assert sorted([Pivot("b", "a"), Pivot("a", "c"), Pivot("a", "b")]) == [
+        Pivot("a", "b"), Pivot("a", "c"), Pivot("b", "a")
+    ]
+    assert hash(p) == hash(("a", "b")) and hash(c) == hash(("ab",))
+    # equal to no plain tuple, from either side
+    assert not p == ("a", "b") and not ("a", "b") == p and ("a", "b") != p
+    assert p != Pivot("a", "c") and not p != Pivot("a", "b")
+    with pytest.raises(AttributeError):
+        p.w = "z"
+    # a bare operation is read as a sequence of its vertices
+    for call in (support, is_reduced):
+        with pytest.raises(InputError) as err:
+            call(p)
+        assert str(err.value) == "not an operation: 'a'"
+    with pytest.raises(InputError) as err:
+        apply(Graph(edges=[("a", "b")]), p)
+    assert str(err.value) == "not an operation: 'a'"
+
+
+VALUES = (
+    Graph(["d"], [("a", "b"), ("b", "c")], ["c"]),
+    Graph(range(4), [(0, 1), (2, 3)]),
+    Gf2Matrix.from_dense(["x", "y"], [[1, 1], [1, 0]]),
+    Pivot("a", "b"),
+    Pivot(1, 2),
+    LocalComp("ab"),
+    LocalComp(3),
+)
+
+
+@pytest.mark.parametrize(
+    "value", VALUES, ids=["graph", "int-graph", "matrix", "pivot", "int-pivot", "loop-rule", "int-loop-rule"]
+)
+def test_values_survive_pickle_and_copy(value):
+    copies = [pickle.loads(pickle.dumps(value, proto)) for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
+    copies += [copy.copy(value), copy.deepcopy(value)]
+    for other in copies:
+        assert type(other) is type(value) and other == value and hash(other) == hash(value)
+        if isinstance(value, Graph):
+            assert other.has_edge(*value.edges[0])
+            with pytest.raises(InputError, match="unknown vertex: 'zz'"):
+                other.has_edge("zz", other.vertices[0])
 
 
 def test_support_parity():
@@ -320,6 +375,19 @@ def test_orbit_members_are_reachable_and_closed():
             for s in vertex_subsets(h.vertices):
                 if is_support_applicable(h, s):
                     assert apply_support(h, s) in members
+
+
+def test_orbit_is_a_class():
+    # det (A*S)[T] = det A[S ^ T], so every member reaches the same graphs
+    # and counts the same supports as G
+    rng = random.Random(29)
+    graphs = [g for n in range(5) for g in all_loop_graphs(n)]
+    graphs += [random_loop_graph(rng, rng.randint(5, 7), rng.random(), rng.random()) for _ in range(150)]
+    for g in graphs:
+        members, count = orbit(g), count_applicable_supports(g)
+        for h in members:
+            assert orbit(h) == members
+            assert count_applicable_supports(h) == count
 
 
 def test_orbit_cap():
