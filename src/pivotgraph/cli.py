@@ -18,7 +18,7 @@ and the command line), and ends the process with ``os._exit``.
 Skipping the interpreter's teardown (module clean-up, the final
 collections, atexit handlers) is timed in ``CHANGES.md``.  Under a tracer
 or profiler (``pdb``, ``python -m cProfile``) ``run`` exits normally, so
-that its report is written.  ``main`` is the entry point in process.
+that its report is written.  In process, ``main`` returns every exit status.
 """
 
 import io
@@ -27,7 +27,7 @@ import re
 import sys
 from types import SimpleNamespace
 
-from . import formats, matchings, sequences
+from . import formats, sequences
 from .errors import InputError, NotApplicableError, PivotGraphError
 from .graph import Graph, local_complement, loop_complement, overlap_graph, pivot
 
@@ -54,11 +54,6 @@ def _read_graph(args) -> Graph:
 
 def cmd_det(G, args) -> str:
     return f"{G.adjacency_matrix().det()}\n"
-
-
-def cmd_pm(G, args) -> str:
-    # on simple graphs this is pm_parity: no vertex carries a loop
-    return f"{matchings.general_pm_parity(G)}\n"
 
 
 def cmd_pivot(G, args) -> str:
@@ -132,7 +127,7 @@ def cmd_witness(G, args) -> str:
 # of the two options, "[--a]" is optional, and "[input]" brings -f/--format.
 COMMANDS = {
     "det": (cmd_det, "[input]", "", "adjacency determinant over GF(2)"),
-    "pm": (cmd_pm, "[input]", "", "perfect-matching parity"),
+    "pm": (cmd_det, "[input]", "", "perfect-matching parity"),
     "pivot": (cmd_pivot, "u v [input]", "", "pivot on the edge U V"),
     "lc": (cmd_lc, "u [input]", "", "local complementation at U"),
     "apply": (cmd_apply, "[input]", "--seq", 'apply an operation sequence, e.g. "[a b] [c]"'),
@@ -191,7 +186,7 @@ def parse_args(argv) -> SimpleNamespace:
 
     Options may come before, between or after the positionals, as
     ``--opt VALUE`` or ``--opt=VALUE``; the last value given wins, and
-    ``--`` ends the options.  A usage error raises SystemExit(2).
+    ``--`` ends the options.  Help raises SystemExit(0), a usage error SystemExit(2).
     """
     if not argv:
         _fail(None, "the following arguments are required: command")
@@ -267,10 +262,12 @@ def _write(stream, text: str):
 def main(argv=None) -> int:
     if argv is None:
         argv = [os.fsencode(a).decode("utf-8", "surrogateescape") for a in sys.argv[1:]]
-    args = parse_args(argv)
     try:
+        args = parse_args(argv)
         G = _read_graph(args) if hasattr(args, "input") else None
         answer = args.func(G, args)
+    except SystemExit as exc:  # help, or a usage error, already written
+        return exc.code
     except PivotGraphError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2 if isinstance(err, InputError) else 1
@@ -285,8 +282,6 @@ def run():
     sys.stdout, sys.stderr = io.StringIO(), io.StringIO()
     try:
         code = main()
-    except SystemExit as exc:  # a usage error or help
-        code = exc.code
     finally:
         out, err = sys.stdout.getvalue(), sys.stderr.getvalue()
         sys.stdout, sys.stderr = stdout, stderr

@@ -59,16 +59,9 @@ _SELECT = bytes.maketrans(b"01", b"\0\1")  # bit characters to itertools.compres
 _DENSE = 8
 
 
-def _text(text, name: str) -> str:
-    """``text`` itself; InputError names ``name`` if it is not a str."""
-    if not isinstance(text, str):
-        raise InputError(f"{name} is not a str: {text!r}")
-    return text
-
-
 def parse_graph(text: str, fmt: str = "edge-list") -> Graph:
     """Parse a graph document in the named format."""
-    _text(text, "text")
+    _expect(text, str)
     if fmt == "edge-list":
         return _parse_edge_list(text)
     if fmt == "graph6":
@@ -235,7 +228,7 @@ _BRACKET = r"\[([^\[\]]*)\]"
 
 def parse_opseq(text: str):
     """Parse bracket groups into a tuple of operations."""
-    parts = re.split(_BRACKET, _text(text, "text"))
+    parts = re.split(_BRACKET, _expect(text, str))
     rest = " ".join(parts[::2]).split()
     if rest:
         raise ParseError(f"stray text outside brackets: {rest[0]!r}")
@@ -262,7 +255,7 @@ def serialize_opseq(seq) -> str:
 
 def parse_vertex_set(text: str) -> frozenset:
     """Comma-separated vertex tokens; the empty string is the empty set."""
-    if not _text(text, "text").strip():
+    if not _expect(text, str).strip():
         return frozenset()
     toks = [part.strip() for part in text.split(",")]
     if "" in toks:

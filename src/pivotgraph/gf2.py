@@ -448,8 +448,8 @@ class Gf2Matrix:
     def __hash__(self) -> int:
         return hash((self._labels, self._rows))
 
-    def __getstate__(self):  # pickle protocols 0 and 1 refuse __slots__ without it
-        return None, {s: getattr(self, s) for s in self.__slots__}
+    def __reduce__(self):  # unchecked, as a pickle is trusted input
+        return Gf2Matrix._trusted, (self._labels, self._rows)
 
     def __repr__(self) -> str:
         return f"Gf2Matrix.from_dense({list(self._labels)!r}, {self.to_dense()!r})"

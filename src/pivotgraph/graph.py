@@ -137,8 +137,8 @@ class Graph:
     def __hash__(self) -> int:
         return hash(self._matrix)
 
-    def __getstate__(self):  # pickle protocols 0 and 1 refuse __slots__ without it
-        return None, {s: getattr(self, s) for s in self.__slots__}
+    def __reduce__(self):  # unchecked, as a pickle is trusted input
+        return Graph._of, (self._matrix,)
 
     def __repr__(self) -> str:
         return (

@@ -58,9 +58,9 @@ class _Op(tuple):
         args = ", ".join(f"{f}={x!r}" for f, x in zip(self.__match_args__, self))
         return f"{type(self).__name__}({args})"
 
-    def __getnewargs__(self) -> tuple:
-        # copying and unpickling (protocol 2 on) call __new__, so they pass its check
-        return tuple(self)
+    def __reduce__(self):
+        # copies and pickles call the class, so they pass its check at every protocol
+        return type(self), tuple(self)
 
 
 class Pivot(_Op):

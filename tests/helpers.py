@@ -39,7 +39,6 @@ from pivotgraph.cli import (
     cmd_orbit,
     cmd_overlap,
     cmd_pivot,
-    cmd_pm,
     cmd_reduce,
     cmd_reduce_to_empty,
     cmd_witness,
@@ -559,7 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pm", help="perfect-matching parity")
     _add_io(p)
-    p.set_defaults(func=cmd_pm)
+    p.set_defaults(func=cmd_det)
 
     p = sub.add_parser("pivot", help="pivot on the edge U V")
     p.add_argument("u")

@@ -123,9 +123,7 @@ def test_applicable(run):
     assert run(["applicable", "--set", "a,b"], P3) == (0, "true\n", "")
     assert run(["applicable", "--set", "a,c"], P3) == (0, "false\n", "")
     assert run(["applicable", "--set", ""], P3) == (0, "true\n", "")
-    with pytest.raises(SystemExit) as exc:
-        run(["applicable", "--seq", "[a b]", "--set", "a,b"], P3)
-    assert exc.value.code == 2
+    assert run(["applicable", "--seq", "[a b]", "--set", "a,b"], P3)[0] == 2
 
 
 def test_apply_support(run):
@@ -233,13 +231,10 @@ def test_writers_refuse_vertices_that_do_not_read_back(run):
     assert run(["witness"], "a] b\nvertex [c\n") == (0, "[c\n", "")
 
 
-def test_usage_errors():
-    with pytest.raises(SystemExit) as exc:
-        cli.main([])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["frobnicate"])
-    assert exc.value.code == 2
+def test_usage_errors(run):
+    usage = "usage: pivotgraph [-h] command ...\npivotgraph: error: "
+    assert run([]) == (2, "", usage + "the following arguments are required: command\n")
+    assert run(["frobnicate"]) == (2, "", usage + "argument command: invalid choice: 'frobnicate'\n")
 
 
 def test_module_entry_point():
@@ -300,11 +295,8 @@ def test_cli_import_skips_heavy_modules(tmp_path):
             "quiet = io.StringIO()\n"
             "with contextlib.redirect_stdout(quiet), contextlib.redirect_stderr(quiet):\n"
             f"    codes = [pivotgraph.cli.main(['pivot', 'a', 'b', {str(path)!r}]),\n"
-            "             pivotgraph.cli.main(['det', '/no/such/file'])]\n"
-            "    try:\n"
-            "        pivotgraph.cli.main(['pivot', 'a'])\n"
-            "    except SystemExit as exc:\n"
-            "        codes.append(exc.code)\n"
+            "             pivotgraph.cli.main(['det', '/no/such/file']),\n"
+            "             pivotgraph.cli.main(['pivot', 'a'])]\n"
             f"print(codes, sorted(m for m in {modules!r} if m in sys.modules))\n"
         )
         proc = run_child([*flags, "-c", probe], text=True)
@@ -384,9 +376,8 @@ def test_option_forms(run):
 
 def _usage_error(argv):
     err = io.StringIO()
-    with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(err):
-        cli.main(argv)
-    assert exc.value.code == 2
+    with contextlib.redirect_stderr(err):
+        assert cli.main(argv) == 2
     usage, message = err.getvalue().splitlines()
     assert usage.startswith("usage: pivotgraph")
     return message
@@ -427,15 +418,11 @@ def test_input_after_options_after_positionals(run):
 
 
 def test_help_is_generated_from_the_table(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["-h"])
-    assert exc.value.code == 0
+    assert cli.main(["-h"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("usage: pivotgraph [-h] command ...\n")
     assert all(f"\n  {name} " in out for name in cli.COMMANDS)
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["applicable", "--set", "a", "--help"])
-    assert exc.value.code == 0
+    assert cli.main(["applicable", "--set", "a", "--help"]) == 0
     assert capsys.readouterr().out.startswith(
         "usage: pivotgraph applicable [-h] (--seq SEQ | --set SET)"
         " [-f {edge-list,graph6}] [input]\n"
@@ -559,27 +546,24 @@ FRESH = [
 ]
 
 
-def _replies_as_main(run, capsys, tmp_path, argv, doc, unbuffered):
+def _replies_as_main(run, tmp_path, argv, doc, unbuffered):
     with open(tmp_path / "out", "wb") as out, open(tmp_path / "err", "wb") as err:
         code, _, _ = _fresh(argv, tmp_path, doc, unbuffered, stdout=out, stderr=err)
-    try:
-        want = run(argv, doc)
-    except SystemExit as exc:
-        want = (exc.code, *capsys.readouterr())
+    want = run(argv, doc)
     got = (code, (tmp_path / "out").read_bytes(), (tmp_path / "err").read_bytes())
     assert got == (want[0], want[1].encode(), want[2].encode())
 
 
 @pytest.mark.parametrize("argv, doc", FRESH, ids=[" ".join(argv) for argv, _ in FRESH])
-def test_fresh_process_replies_as_main(run, capsys, tmp_path, argv, doc):
+def test_fresh_process_replies_as_main(run, tmp_path, argv, doc):
     # stdout goes to a file, so it is block-buffered, and every byte of an
     # answer must reach the file before run ends the process
-    _replies_as_main(run, capsys, tmp_path, argv, doc, unbuffered=False)
+    _replies_as_main(run, tmp_path, argv, doc, unbuffered=False)
 
 
 @pytest.mark.parametrize("argv, doc", FRESH, ids=[" ".join(argv) for argv, _ in FRESH])
-def test_unbuffered_process_replies_as_main(run, capsys, tmp_path, argv, doc):
-    _replies_as_main(run, capsys, tmp_path, argv, doc, unbuffered=True)
+def test_unbuffered_process_replies_as_main(run, tmp_path, argv, doc):
+    _replies_as_main(run, tmp_path, argv, doc, unbuffered=True)
 
 
 def test_profiler_still_reports():

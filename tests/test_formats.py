@@ -456,7 +456,7 @@ def test_graph6_errors(doc, message):
 def test_parsers_refuse_what_is_not_text(parse, text):
     with pytest.raises(InputError) as err:
         parse(text)
-    assert str(err.value) == f"text is not a str: {text!r}"
+    assert str(err.value) == f"expected a str, got {text!r}"
 
 
 def test_opseq_round_trip():

@@ -83,6 +83,36 @@ def test_constructor_names_unorderable_vertices():
     assert str(err.value) == "vertex ids (1, 'a') and (1, 2) cannot be ordered"
 
 
+class _Intransitive:
+    """An id whose order is not transitive: K0 < K1 and K1 < K2 compare,
+    K0 and K2 do not.  Hashes 0, 1 and 2 put a set of them in the order K0, K2, K1."""
+
+    def __init__(self, i):
+        self.i = i
+
+    def __hash__(self):
+        return (0, 2, 1)[self.i]
+
+    def __lt__(self, other):
+        return NotImplemented if {self.i, other.i} == {0, 2} else self.i < other.i
+
+    def __repr__(self):
+        return f"K{self.i}"
+
+
+def test_ids_that_compare_pairwise_in_repr_order_but_do_not_sort():
+    ks = [_Intransitive(i) for i in range(3)]
+    assert list({*ks}) == [ks[0], ks[2], ks[1]]
+    assert ks[0] < ks[1] and ks[1] < ks[2]
+    with pytest.raises(TypeError):
+        ks[0] < ks[2]
+    # sorting the set meets K2 against K0; walked in repr order, each id
+    # compares with every one it meets, so no pair can be named
+    with pytest.raises(InputError) as err:
+        Graph(vertices=ks)
+    assert str(err.value) == "vertex ids cannot be ordered"
+
+
 def test_unorderable_message_ignores_hash_seed():
     # the clash used to be searched in set order, which follows string hashing
     code = (

@@ -8,6 +8,10 @@ from pivotgraph import cli
 from helpers import run_child
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "replay.py"
+REPLAY_LINE = (
+    "973 requests, exit 0: 359, exit 1: 80, exit 2: 534,"
+    " sha256 946ced3adcd418e30cf444a383a8ecd0b7ef1808fe9b4a953858a009d7a6b71e\n"
+)
 
 
 def test_corpus_names_every_command(tmp_path):
@@ -30,3 +34,5 @@ def test_replay_line_ignores_the_hash_seed():
     )
     total, *codes = map(int, counts.groups())
     assert total == sum(codes) and min(codes) > 0
+    # any change to a reply moves the digest: update this line with the change
+    assert lines[0] == REPLAY_LINE

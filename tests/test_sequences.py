@@ -139,6 +139,54 @@ def test_values_survive_pickle_and_copy(value):
                 other.has_edge("zz", other.vertices[0])
 
 
+@pytest.mark.parametrize("proto", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_unpickling_an_operation_checks_it_again(proto):
+    data = pickle.dumps(Pivot("uu", "vv"), proto)
+    assert data.count(b"vv") == 1
+    with pytest.raises(InputError, match="^pivot endpoints must be distinct$"):
+        pickle.loads(data.replace(b"vv", b"uu"))
+
+
+# written by the earlier format, which rebuilt a graph or a matrix from a
+# __getstate__ over its slots and an operation through __new__
+EARLIER_PICKLES = [
+    (
+        Graph(["c"], [("a", "b")], ["b"]),
+        b"ccopy_reg\n_reconstructor\np0\n(cpivotgraph.graph\nGraph\np1\nc__builtin__\nobject\np2\nNtp3\n"
+        b"Rp4\n(N(dp5\nV_matrix\np6\ng0\n(cpivotgraph.gf2\nGf2Matrix\np7\ng2\nNtp8\nRp9\n(N(dp10\n"
+        b"V_labels\np11\n(Va\np12\nVb\np13\nVc\np14\ntp15\nsV_pos\np16\n(dp17\ng12\nI0\nsg13\nI1\nsg14\n"
+        b"I2\nssV_rows\np18\n(I2\nI3\nI0\ntp19\nstp20\nbstp21\nb.",
+    ),
+    (
+        Graph(["c"], [("a", "b")], ["b"]),
+        b"\x80\x05\x95\x9b\x00\x00\x00\x00\x00\x00\x00\x8c\x10pivotgraph.graph\x94\x8c\x05Graph\x94\x93"
+        b"\x94)\x81\x94N}\x94\x8c\x07_matrix\x94\x8c\x0epivotgraph.gf2\x94\x8c\tGf2Matrix\x94\x93\x94)"
+        b"\x81\x94N}\x94(\x8c\x07_labels\x94\x8c\x01a\x94\x8c\x01b\x94\x8c\x01c\x94\x87\x94\x8c\x04_pos"
+        b"\x94}\x94(h\x0cK\x00h\rK\x01h\x0eK\x02u\x8c\x05_rows\x94K\x02K\x03K\x00\x87\x94u\x86\x94bs"
+        b"\x86\x94b.",
+    ),
+    (
+        Pivot("uu", "vv"),
+        b"ccopy_reg\n_reconstructor\np0\n(cpivotgraph.sequences\nPivot\np1\nc__builtin__\ntuple\np2\n"
+        b"(Vuu\np3\nVvv\np4\ntp5\ntp6\nRp7\n.",
+    ),
+    (
+        Pivot("uu", "vv"),
+        b"\x80\x05\x950\x00\x00\x00\x00\x00\x00\x00\x8c\x14pivotgraph.sequences\x94\x8c\x05Pivot\x94\x93"
+        b"\x94\x8c\x02uu\x94\x8c\x02vv\x94\x86\x94\x81\x94.",
+    ),
+]
+
+
+@pytest.mark.parametrize("value, data", EARLIER_PICKLES, ids=["graph-0", "graph-5", "pivot-0", "pivot-5"])
+def test_pickles_of_the_earlier_format_still_load(value, data):
+    other = pickle.loads(data)
+    assert type(other) is type(value) and other == value and hash(other) == hash(value)
+    assert repr(other) == repr(value)
+    if isinstance(value, Graph):
+        assert other.neighbors("b") == {"a"} and other.has_loop("b")
+
+
 def test_support_parity():
     assert support([]) == frozenset()
     assert support([Pivot("a", "b"), Pivot("b", "c")]) == frozenset("ac")

@@ -157,10 +157,7 @@ def reply(argv: list, stdin: str | None) -> tuple:
     saved, sys.stdin = sys.stdin, io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
     try:
         with redirect_stdout(out), redirect_stderr(err):
-            try:
-                code = cli.main(argv)
-            except SystemExit as exc:  # a usage error or help
-                code = exc.code
+            code = cli.main(argv)
     finally:
         sys.stdin = saved
     return code, out.getvalue(), err.getvalue()
