@@ -221,12 +221,13 @@ def parse_args(argv) -> SimpleNamespace:
             key, eq, value = tok.partition("=")
             if key not in flags:
                 _fail(name, f"unrecognized arguments: {tok}")
+            arg = "-f/--format" if flags[key] == "format" else key  # as argparse names it
             if not eq:
                 value = next(it, None)
                 if value is None or is_flag(value):
-                    _fail(name, f"argument {key}: expected one argument")
+                    _fail(name, f"argument {arg}: expected one argument")
             if flags[key] == "format" and value not in formats.GRAPH_FORMATS:
-                _fail(name, f"argument -f/--format: invalid choice: {value!r}")
+                _fail(name, f"argument {arg}: invalid choice: {value!r}")
             fields[flags[key]] = value
     for spec, group in zip(options.split(), groups):
         given = [flag for flag in group if fields[flag[2:]] is not None]

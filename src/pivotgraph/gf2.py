@@ -122,8 +122,8 @@ def _flush(rows: list, taken: int, fresh: int) -> None:
         rows[x] = r
 
 
-def _pivot_out(rows: list, live: int, first: int | None = None) -> tuple:
-    """Pivot the positions in the bitmask ``live`` out of ``rows``, in place.
+def _pivot_out(rows: Sequence[int], live: int, first: int | None = None) -> tuple:
+    """Pivot the positions in the bitmask ``live`` out of a copy of ``rows``.
 
     Each step applies the principal pivot transform of one block of det 1
     to every row: the lowest looped position left in ``live``, failing that
@@ -139,12 +139,14 @@ def _pivot_out(rows: list, live: int, first: int | None = None) -> tuple:
     Russians: ``fresh`` starts empty and holds the rows of the positions
     taken since the last flush and the rows the pick reads, and a flush
     brings every other row up to date by two table lookups (see ``_flush``)
-    in place of one pass per block.
+    instead of one pass per block.
 
     Returns:
-        (blocks, left): the blocks taken, each a tuple of one position or
-        two ascending ones, and the bitmask of the positions left over.
+        (rows, blocks, left): the rows of A*T as a tuple, with T the positions
+        taken; the blocks taken, each a tuple of one position or two ascending
+        ones; and the bitmask of the positions left over.
     """
+    rows = list(rows)
     # loop bits of the positions in ``live``; a 2x2 block keeps every loop
     diag = 0
     for p in _ones(live):
@@ -214,7 +216,7 @@ def _pivot_out(rows: list, live: int, first: int | None = None) -> tuple:
         first = None
     if taken:
         _flush(rows, taken, fresh)
-    return blocks, live
+    return tuple(rows), blocks, live
 
 
 def _walk_nonsingular(rows: Sequence[int], rest: int, leaf) -> int:
@@ -297,13 +299,14 @@ class Gf2Matrix:
         rows = tuple(_index(r, "row") for r in _items(rows, "rows"))
         n = len(labels)
         if len(_vertex_ids(labels, "label")) != n:
-            raise InputError("duplicate labels")
+            seen = set()  # seen.add returns None, so next() stops at the first repeat
+            raise InputError(f"duplicate label {next(x for x in labels if x in seen or seen.add(x))!r}")
         if len(rows) != n:
             raise InputError(f"expected {n} rows, got {len(rows)}")
         limit = 1 << n
-        for r in rows:
+        for lbl, r in zip(labels, rows):
             if r < 0 or r >= limit:
-                raise InputError("row has bits outside the matrix order")
+                raise InputError(f"row of {lbl!r} has bits outside the matrix order")
         for i, d in enumerate(map(int.__xor__, rows, _transpose(rows, n, range(n)))):
             if d:
                 # rows above i match their columns, so the lowest bit j of d lies above i
@@ -335,7 +338,7 @@ class Gf2Matrix:
             for j, x in enumerate(row):
                 b = _index(x, "entry")
                 if b not in (0, 1):
-                    raise InputError(f"entry {x!r} is not a bit")
+                    raise InputError(f"entries[{i}][{j}] is not a bit: {x!r}")
                 bits |= b << j
             rows.append(bits)
         return cls(labels, rows)
@@ -392,7 +395,7 @@ class Gf2Matrix:
         The pivot-out walk over every position takes them all exactly when
         the determinant is 1.
         """
-        return 0 if _pivot_out(list(self._rows), (1 << self.order) - 1)[1] else 1
+        return 0 if _pivot_out(self._rows, (1 << self.order) - 1)[2] else 1
 
     def kernel_witness(self) -> frozenset | None:
         """A non-empty label set whose rows sum to zero, or None if det = 1.
@@ -403,8 +406,7 @@ class Gf2Matrix:
         Returns:
             frozenset of labels, or None when the matrix is nonsingular.
         """
-        rows = list(self._rows)
-        left = _pivot_out(rows, (1 << self.order) - 1)[1]
+        rows, _, left = _pivot_out(self._rows, (1 << self.order) - 1)
         if not left:
             return None
         # With T the positions taken and L those left, the walk stopped
@@ -434,11 +436,11 @@ class Gf2Matrix:
 
     def _ppt(self, live: int) -> "Gf2Matrix":
         """Principal pivot transform on the positions in the bitmask ``live``."""
-        rows = list(self._rows)
-        if _pivot_out(rows, live)[1]:
+        rows, _, left = _pivot_out(self._rows, live)
+        if left:
             raise SingularPivotError("principal submatrix on the pivot set is singular")
         # the ppt of a symmetric matrix is symmetric, so skip the validation
-        return Gf2Matrix._trusted(self._labels, tuple(rows))
+        return Gf2Matrix._trusted(self._labels, rows)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Gf2Matrix):

@@ -10,7 +10,7 @@ the support alone determines the result.
 from collections.abc import Hashable, Iterable
 from operator import itemgetter
 
-from .errors import InputError, NotApplicableError, SingularPivotError, UnsupportedSizeError
+from .errors import InputError, NotApplicableError, UnsupportedSizeError
 from .gf2 import Gf2Matrix, _items, _mask, _ones, _pivot_out, _vertex_ids, _walk_nonsingular
 from .graph import Graph, _expect, loop_complement, pivot
 
@@ -151,7 +151,7 @@ def is_support_applicable(G: Graph, subset: Iterable) -> bool:
     subset having determinant 1.
     """
     live = _mask(_expect(G, Graph)._positions(_items(subset, "subset")))
-    return not _pivot_out(list(G.adjacency_matrix().rows), live)[1]
+    return not _pivot_out(G.adjacency_matrix().rows, live)[2]
 
 
 def apply_support(G: Graph, subset: Iterable) -> Graph:
@@ -164,11 +164,10 @@ def apply_support(G: Graph, subset: Iterable) -> Graph:
         NotApplicableError: when det(A[S]) = 0, i.e. no such sequence exists.
     """
     live = _mask(_expect(G, Graph)._positions(_items(subset, "subset")))
-    try:
-        # the ppt keeps G's sorted labels
-        return Graph._of(G.adjacency_matrix()._ppt(live))
-    except SingularPivotError:
-        raise NotApplicableError("no applicable sequence has this support") from None
+    rows, _, left = _pivot_out(G.adjacency_matrix().rows, live)
+    if left:
+        raise NotApplicableError("no applicable sequence has this support")
+    return Graph._of(Gf2Matrix._trusted(G.vertices, rows))
 
 
 def synthesize_reduced(G: Graph, subset: Iterable, anchor=None) -> tuple:
@@ -189,14 +188,13 @@ def synthesize_reduced(G: Graph, subset: Iterable, anchor=None) -> tuple:
     live = _mask(pos)
     if anchor is not None and anchor not in items:
         raise InputError(f"anchor {anchor!r} is not in the support set")
-    A = G.adjacency_matrix()
     first = None if anchor is None else pos[items.index(anchor)]
-    blocks, left = _pivot_out(list(A.rows), live, first)
+    _, blocks, left = _pivot_out(G.adjacency_matrix().rows, live, first)
     if left:
         raise NotApplicableError("no applicable sequence has this support")
     if first is not None and first not in blocks[0]:
         raise NotApplicableError(f"no applicable operation touches the anchor {anchor!r}")
-    labels = A.labels
+    labels = G.vertices
     return tuple(
         LocalComp(labels[b[0]]) if len(b) == 1 else Pivot(labels[b[0]], labels[b[1]])
         for b in blocks
@@ -270,13 +268,12 @@ def check_commutation(G: Graph, u, v, w, z) -> bool:
     det A[{u, v, w, z}] = 1, and so is uv of G[wz].
     """
     quad = (u, v, w, z)
-    i, j, k, l = pos = _expect(G, Graph)._positions(quad)
-    if len(set(pos)) != 4:
+    if len(set(_expect(G, Graph)._positions(quad))) != 4:
         raise InputError("check_commutation needs four distinct vertices")
-    rows = G.adjacency_matrix().rows
-    for x, p in zip(quad, pos):
-        if rows[p] >> p & 1:
+    for x in quad:
+        if G.has_loop(x):
             raise InputError(f"check_commutation needs loop-free vertices, {x!r} has a loop")
-    if not rows[i] >> j & rows[k] >> l & 1:
-        raise InputError("check_commutation needs uv and wz to be edges")
-    return not _pivot_out(list(rows), _mask(pos))[1]
+    for x, y in ((u, v), (w, z)):
+        if not G.has_edge(x, y):
+            raise InputError(f"check_commutation needs uv and wz to be edges: no edge {x!r} {y!r}")
+    return is_support_applicable(G, quad)

@@ -395,6 +395,11 @@ def test_usage_error_names_the_argument():
         "pivotgraph: error: argument --seq: expected one argument"
     )
     assert _usage_error(["det", "-f", "dot"]).endswith("invalid choice: 'dot'")
+    # both spellings of the format option are one argument, named as argparse names it
+    for argv in (["det", "-f"], ["det", "--format"], ["reduce", "--set", "a", "--format"]):
+        assert _usage_error(argv) == (
+            "pivotgraph: error: argument -f/--format: expected one argument"
+        )
     assert _usage_error(["det", "a", "b"]).endswith("unrecognized arguments: b")
     assert _usage_error(["det", "-x"]).endswith("unrecognized arguments: -x")
     assert _usage_error(["frobnicate"]).endswith("invalid choice: 'frobnicate'")
@@ -437,6 +442,15 @@ def _outcome(parse, argv):
         return exc.code
 
 
+def _message(parse, argv) -> str:
+    """What ``parse`` says after ``error:`` on refusing ``argv``; argparse's
+    prefix names the subcommand, the reader's does not."""
+    err = io.StringIO()
+    with pytest.raises(SystemExit), contextlib.redirect_stderr(err):
+        parse(argv)
+    return err.getvalue().splitlines()[-1].partition(" error: ")[2]
+
+
 def test_reader_agrees_with_argparse_oracle():
     parser = build_parser()
     corpus = argv_corpus(random.Random(7), 3000)
@@ -446,6 +460,11 @@ def test_reader_agrees_with_argparse_oracle():
     assert [argv for argv, want, got in zip(corpus, wants, gots) if want != got] == []
     accepted = sum(isinstance(want, dict) for want in wants)
     assert 0.5 * len(corpus) < accepted < 0.9 * len(corpus)
+    # a missing option value names the option as argparse does
+    refused = [(argv, _message(parser.parse_args, argv)) for argv, w in zip(corpus, wants) if w == 2]
+    missing = [(argv, want) for argv, want in refused if want.endswith(": expected one argument")]
+    assert len(missing) > 50
+    assert [argv for argv, want in missing if _message(cli.parse_args, argv) != want] == []
 
 
 # one successful request per command, with the graph it reads

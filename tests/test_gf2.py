@@ -46,6 +46,9 @@ def test_construction_validation():
         # a float row used to be truncated to an int
         pytest.param(["a"], [1.7], "row 1.7 is not an integer", id="float-row"),
         pytest.param(["a"], [1.0], "row 1.0 is not an integer", id="whole-float-row"),
+        # the first label equal to an earlier one, and the row with stray bits
+        pytest.param("abcbca", [0] * 6, "duplicate label 'b'", id="duplicate-label"),
+        pytest.param("abc", [0, 0, 8], "row of 'c' has bits outside the matrix order", id="stray-bit"),
     ],
 )
 def test_construction_admits_hashable_labels_and_int_rows(labels, rows, message):
@@ -59,6 +62,12 @@ def test_from_dense_admits_int_entries(x):
     with pytest.raises(InputError) as err:
         Gf2Matrix.from_dense(["a"], [[x]])
     assert str(err.value) == f"entry {x!r} is not an integer"
+
+
+def test_from_dense_names_the_entry_that_is_not_a_bit():
+    with pytest.raises(InputError) as err:
+        mat("ab", [[0, 2], [2, 0]])
+    assert str(err.value) == "entries[0][1] is not a bit: 2"
 
 
 @pytest.mark.parametrize(
@@ -113,7 +122,7 @@ def test_bounds_message_comes_before_asymmetry():
             rows[-1] = stray
             with pytest.raises(InputError) as err:
                 Gf2Matrix(labels, rows)
-            assert str(err.value) == "row has bits outside the matrix order"
+            assert str(err.value) == f"row of {labels[-1]!r} has bits outside the matrix order"
 
 
 def test_construction_reads_bools_as_ints():
@@ -447,8 +456,7 @@ def test_pivot_out_modes_take_the_same_blocks_and_rows(monkeypatch):
         results = []
         for mode in (DIRECT, BATCHED):
             monkeypatch.setattr(gf2, "BATCH_MIN", mode)
-            out = list(rows)
-            results.append((gf2._pivot_out(out, live, first), out))
+            results.append(gf2._pivot_out(rows, live, first))
         assert results[0] == results[1]
 
 
@@ -467,13 +475,12 @@ def test_pivot_out_leaves_positions_over_exactly_when_singular(monkeypatch, mode
         positions = [x for x in range(n) if live >> x & 1]
         m = Gf2Matrix(range(n), rows).principal_submatrix(positions)
         singular = rank_by_elimination(m) < len(positions)
-        plain = list(rows)
-        without = (gf2._pivot_out(plain, live), plain)
-        assert bool(without[0][1]) == singular
+        without = gf2._pivot_out(rows, live)
+        assert bool(without[2]) == singular
         loop_free = [x for x in positions if not rows[x] >> x & 1]
         for first in positions if n <= 40 else rng.sample(positions, min(6, len(positions))):
-            out = list(rows)
-            blocks, left = gf2._pivot_out(out, live, first)
+            out = gf2._pivot_out(rows, live, first)
+            _, blocks, left = out
             assert bool(left) == singular
             partners = [x for x in loop_free if rows[first] >> x & 1]
             if rows[first] >> first & 1:
@@ -482,9 +489,30 @@ def test_pivot_out_leaves_positions_over_exactly_when_singular(monkeypatch, mode
                 assert blocks[0] == tuple(sorted((first, partners[0])))
             else:
                 assert first not in (blocks[0] if blocks else ())
-                assert ((blocks, left), out) == without
+                assert out == without
             seen.add((singular, bool(rows[first] >> first & 1 or partners)))
     assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_pivot_out_returns_the_ppt_and_leaves_its_input_unwritten(monkeypatch, mode):
+    # the walk copies the rows it is given and returns A*T, with T the
+    # positions taken, as a new tuple
+    monkeypatch.setattr(gf2, "BATCH_MIN", mode)
+    rng = random.Random(31)
+    took = 0
+    for k in range(40):
+        n = rng.randint(1, 110)
+        rows = random_rows(rng, n, rng.choice((0.5, 0.1)), rng.choice((0.0, 0.3)))
+        before = list(rows)
+        live = (1 << n) - 1 if k % 2 else rng.getrandbits(n)
+        first = rng.choice(list(gf2._ones(live))) if live and k % 3 == 0 else None
+        out, blocks, _ = gf2._pivot_out(rows, live, first)
+        assert rows == before
+        taken = [p for block in blocks for p in block]
+        assert out == ppt_by_block_inverse(Gf2Matrix(range(n), rows), taken).rows
+        took += bool(taken)
+    assert took > 30
 
 
 @pytest.mark.parametrize("mode", MODES)

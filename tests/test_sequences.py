@@ -275,8 +275,11 @@ def test_apply_support_validation():
     g = Graph(edges=[("a", "b"), ("b", "c")])
     with pytest.raises(InputError):
         apply_support(g, ["x"])
-    with pytest.raises(NotApplicableError):
+    with pytest.raises(NotApplicableError) as err:
         apply_support(g, ["a", "c"])  # no edge, determinant 0
+    # the support's own refusal, not the matrix pivot's SingularPivotError
+    assert type(err.value) is NotApplicableError
+    assert str(err.value) == "no applicable sequence has this support"
     assert apply_support(g, []) == g
 
 
@@ -565,16 +568,20 @@ def test_check_commutation_frozen():
 
 def test_check_commutation_validation():
     g = Graph(edges=[(0, 1), (2, 3)], loops=[4])
-    with pytest.raises(InputError):
+    with pytest.raises(InputError) as err:
         check_commutation(g, 0, 1, 1, 3)
-    with pytest.raises(InputError):
+    assert str(err.value) == "check_commutation needs four distinct vertices"
+    with pytest.raises(InputError) as err:
         check_commutation(g, 0, 2, 1, 3)  # 0-2 is not an edge
+    assert str(err.value) == "check_commutation needs uv and wz to be edges: no edge 0 2"
     g2 = Graph(edges=[(0, 1), (2, 3)], loops=[3])
-    with pytest.raises(InputError):
+    with pytest.raises(InputError) as err:
         check_commutation(g2, 0, 1, 2, 3)
-    g3 = Graph(edges=[(0, 1), (2, 3)], vertices=[4])
-    with pytest.raises(InputError, match="uv and wz to be edges"):
-        check_commutation(g3, 0, 1, 3, 4)  # uv is an edge, 3-4 is not
+    assert str(err.value) == "check_commutation needs loop-free vertices, 3 has a loop"
+    g3 = Graph(edges=[("a", "b"), ("c", "d")], vertices=["e"])
+    with pytest.raises(InputError) as err:
+        check_commutation(g3, "a", "b", "d", "e")  # uv is an edge, de is not
+    assert str(err.value) == "check_commutation needs uv and wz to be edges: no edge 'd' 'e'"
 
 
 def test_check_commutation_equals_order_independence():
