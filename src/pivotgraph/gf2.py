@@ -142,9 +142,9 @@ def _pivot_out(rows: Sequence[int], live: int, first: int | None = None) -> tupl
     instead of one pass per block.
 
     Returns:
-        (rows, blocks, left): the rows of A*T as a tuple, with T the positions
-        taken; the blocks taken, each a tuple of one position or two ascending
-        ones; and the bitmask of the positions left over.
+        (rows, blocks, left): A*T as a tuple of rows, with A the matrix
+        ``rows`` and T the positions taken; the blocks taken, each a tuple of
+        one position or two ascending ones; and the bitmask of those left over.
     """
     rows = list(rows)
     # loop bits of the positions in ``live``; a 2x2 block keeps every loop
