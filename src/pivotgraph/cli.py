@@ -46,7 +46,7 @@ def _read_graph(args) -> Graph:
         except OSError as err:
             raise InputError(f"cannot read {where}: {err.strerror}") from None
     try:
-        text = data.decode("utf-8")
+        text = data.decode("utf-8").removeprefix("\ufeff")  # a BOM is no part of a vertex
     except UnicodeDecodeError as err:
         raise InputError(f"cannot read {where}: not UTF-8 at byte {err.start}") from None
     return formats.parse_graph(text, args.format)

@@ -5,7 +5,6 @@ __all__ = [
     "InputError",
     "ParseError",
     "NotApplicableError",
-    "SingularPivotError",
     "UnsupportedSizeError",
 ]
 
@@ -30,10 +29,6 @@ class ParseError(InputError):
 
 class NotApplicableError(PivotGraphError):
     """The requested operation is not applicable to the given graph state."""
-
-
-class SingularPivotError(NotApplicableError):
-    """Pivot requested on a principal submatrix with determinant 0."""
 
 
 class UnsupportedSizeError(PivotGraphError):

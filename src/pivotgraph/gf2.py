@@ -10,7 +10,7 @@ from collections.abc import Hashable, Iterable, Iterator, Sequence
 from itertools import repeat
 from operator import index
 
-from .errors import InputError, SingularPivotError
+from .errors import InputError, NotApplicableError
 
 __all__ = ["Gf2Matrix"]
 
@@ -430,7 +430,7 @@ class Gf2Matrix:
                 nonsingular.
 
         Raises:
-            SingularPivotError: when det of the principal submatrix is 0.
+            NotApplicableError: when det of the principal submatrix is 0.
         """
         return self._ppt(_mask(self._positions(_items(pivot_set, "pivot_set"), "label")))
 
@@ -438,7 +438,7 @@ class Gf2Matrix:
         """Principal pivot transform on the positions in the bitmask ``live``."""
         rows, _, left = _pivot_out(self._rows, live)
         if left:
-            raise SingularPivotError("principal submatrix on the pivot set is singular")
+            raise NotApplicableError("no applicable sequence has this support")
         # the ppt of a symmetric matrix is symmetric, so skip the validation
         return Gf2Matrix._trusted(self._labels, rows)
 

@@ -164,10 +164,7 @@ def apply_support(G: Graph, subset: Iterable) -> Graph:
         NotApplicableError: when det(A[S]) = 0, i.e. no such sequence exists.
     """
     live = _mask(_expect(G, Graph)._positions(_items(subset, "subset")))
-    rows, _, left = _pivot_out(G.adjacency_matrix().rows, live)
-    if left:
-        raise NotApplicableError("no applicable sequence has this support")
-    return Graph._of(Gf2Matrix._trusted(G.vertices, rows))
+    return Graph._of(G.adjacency_matrix()._ppt(live))
 
 
 def synthesize_reduced(G: Graph, subset: Iterable, anchor=None) -> tuple:

@@ -310,6 +310,26 @@ def test_non_utf8_input_is_input_error(run, tmp_path):
     message = f"error: cannot read {str(path)!r}: not UTF-8 at byte 4\n"
     assert run(["det", str(path)]) == (2, "", message)
     assert run(["det"], b"a b\n\xff") == (2, "", "error: cannot read stdin: not UTF-8 at byte 4\n")
+    # a skipped byte-order mark still counts: the offset is the file's own
+    path.write_bytes(b"\xef\xbb\xbf\xff")
+    message = f"error: cannot read {str(path)!r}: not UTF-8 at byte 3\n"
+    assert run(["det", str(path)]) == (2, "", message)
+    assert run(["det"], b"\xef\xbb\xbf\xff") == (2, "", "error: cannot read stdin: not UTF-8 at byte 3\n")
+
+
+@pytest.mark.parametrize(
+    "argv, doc",
+    [(["pivot", "a", "b"], b"a b\na c"), (["det"], b"a b\na c"), (["det"], b""),
+     (["det", "-f", "graph6"], b"Bw\n"), (["det", "-f", "graph6"], b"1")],
+)
+def test_leading_bom_is_skipped(run, tmp_path, argv, doc):
+    # the byte-order mark was read as part of the first vertex, so 'a' was
+    # unknown and graph6 data was not ascii
+    path = tmp_path / "bom.txt"
+    path.write_bytes(b"\xef\xbb\xbf" + doc)
+    plain = run(argv, doc)
+    assert run(argv, b"\xef\xbb\xbf" + doc) == plain
+    assert run([*argv, str(path)]) == plain
 
 
 @pytest.mark.parametrize("locale", ["C", "C.UTF-8"])

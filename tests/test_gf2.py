@@ -3,9 +3,10 @@ import random
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from pivotgraph import Gf2Matrix, InputError, NotApplicableError, SingularPivotError, gf2
-from pivotgraph.sequences import synthesize_reduced
+from pivotgraph import Gf2Matrix, Graph, InputError, NotApplicableError, gf2
+from pivotgraph.sequences import apply_support, synthesize_reduced
 from helpers import (
+    all_loop_graphs,
     all_symmetric_matrices,
     asymmetry_by_pairs,
     det_bruteforce,
@@ -234,24 +235,36 @@ def test_ppt_empty_set_is_identity():
     assert K3.ppt([]) == K3
 
 
+SUPPORT_REFUSAL = "no applicable sequence has this support"
+
+
+def assert_refuses_support(call, *args):
+    """``call(*args)`` raises exactly NotApplicableError with the support message."""
+    with pytest.raises(NotApplicableError) as err:
+        call(*args)
+    assert type(err.value) is NotApplicableError
+    assert str(err.value) == SUPPORT_REFUSAL
+
+
 def test_ppt_singular_raises():
-    with pytest.raises(SingularPivotError):
-        K3.ppt("abc")
-    with pytest.raises(SingularPivotError):
-        PATH3.ppt({"a", "c"})
+    assert_refuses_support(K3.ppt, "abc")
+    assert_refuses_support(PATH3.ppt, {"a", "c"})
     with pytest.raises(InputError):
         K3.ppt({"x"})
 
 
 def test_ppt_raises_exactly_on_singular_pivot_sets_exhaustive():
-    for m in all_symmetric_matrices(4):
+    # the matrix ppt and both support calls refuse one fact in one way
+    for G in all_loop_graphs(4):
+        m = G.adjacency_matrix()
         for mask in range(1 << 4):
             S = [i for i in range(4) if (mask >> i) & 1]
             if det_bruteforce(m.principal_submatrix(S)):
-                m.ppt(S)
+                assert apply_support(G, S) == Graph.from_adjacency_matrix(m.ppt(S))
             else:
-                with pytest.raises(SingularPivotError):
-                    m.ppt(S)
+                assert_refuses_support(m.ppt, S)
+                assert_refuses_support(apply_support, G, S)
+                assert_refuses_support(synthesize_reduced, G, S)
 
 
 @st.composite
@@ -537,8 +550,7 @@ def test_large_walks_match_independent_oracles(monkeypatch, mode):
         expected = ppt_by_block_inverse(m, S)
         seen.add(expected is None)
         if expected is None:
-            with pytest.raises(SingularPivotError):
-                m.ppt(S)
+            assert_refuses_support(m.ppt, S)
         else:
             assert m.ppt(S) == expected
     assert seen == {True, False}

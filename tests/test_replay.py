@@ -9,8 +9,8 @@ from helpers import run_child
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "replay.py"
 REPLAY_LINE = (
-    "973 requests, exit 0: 359, exit 1: 80, exit 2: 534,"
-    " sha256 946ced3adcd418e30cf444a383a8ecd0b7ef1808fe9b4a953858a009d7a6b71e\n"
+    "975 requests, exit 0: 359, exit 1: 80, exit 2: 536,"
+    " sha256 52791c1845dec6e327b8eef6e22d1ba685873fe61223add49275c9632dea2e68\n"
 )
 
 

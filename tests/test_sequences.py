@@ -277,7 +277,6 @@ def test_apply_support_validation():
         apply_support(g, ["x"])
     with pytest.raises(NotApplicableError) as err:
         apply_support(g, ["a", "c"])  # no edge, determinant 0
-    # the support's own refusal, not the matrix pivot's SingularPivotError
     assert type(err.value) is NotApplicableError
     assert str(err.value) == "no applicable sequence has this support"
     assert apply_support(g, []) == g

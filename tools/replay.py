@@ -43,6 +43,7 @@ USAGE = (
     [], ["bogus"], ["-h"], ["det", "-h"], ["det", "--bogus"], ["det", "-f", "dot"],
     ["pivot", "a"], ["apply"], ["applicable", "--seq", "[a]", "--set", "a"],
     ["reduce", "--set"], ["overlap"], ["overlap", "--word", "1 1", "extra"],
+    ["det", "-f"], ["det", "--format"],
 )
 
 
