@@ -28,8 +28,8 @@ import sys
 from types import SimpleNamespace
 
 from . import formats, sequences
-from .errors import InputError, NotApplicableError, PivotGraphError
-from .graph import Graph, local_complement, loop_complement, overlap_graph, pivot
+from .errors import InputError, PivotGraphError
+from .graph import Graph, local_complement, overlap_graph, pivot
 
 
 def _read_graph(args) -> Graph:
@@ -61,14 +61,7 @@ def cmd_pivot(G, args) -> str:
 
 
 def cmd_lc(G, args) -> str:
-    # looped vertex: loop rule; simple graph: neighborhood complementation
-    if G.has_loop(args.u):
-        return formats.serialize_graph(loop_complement(G, args.u))
-    if G.is_simple():
-        return formats.serialize_graph(local_complement(G, args.u))
-    raise NotApplicableError(
-        f"lc at {args.u!r}: vertex has no loop and the graph is not simple"
-    )
+    return formats.serialize_graph(local_complement(G, args.u))
 
 
 def cmd_apply(G, args) -> str:

@@ -189,12 +189,13 @@ def _bit_rows(labels: tuple, us: Sequence, vs: Sequence, loops: Iterable) -> tup
 
 
 def local_complement(G: Graph, u) -> Graph:
-    """Complement the edges among the neighbors of u; simple graphs only."""
+    """Local complementation at u, the ``lc`` rule: the loop rule if u has a loop,
+    else, on a simple graph only, complement the edges among the neighbors of u."""
     (i,) = _expect(G, Graph)._positions((u,))
+    if G._matrix.rows[i] >> i & 1:
+        return Graph._of(G._matrix._ppt(1 << i))
     if not G.is_simple():
-        raise InputError(
-            "local_complement is defined on simple graphs; use loop_complement"
-        )
+        raise NotApplicableError(f"lc at {u!r}: vertex has no loop and the graph is not simple")
     # each neighbour row adds the neighbourhood of u, minus its own diagonal bit
     rows = list(G._matrix.rows)
     nbrs = rows[i]

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -9,10 +10,13 @@ from pivotgraph import (
     InputError,
     NotApplicableError,
     UnsupportedSizeError,
+    cli,
     local_complement,
     loop_complement,
     overlap_graph,
+    parse_graph,
     pivot,
+    serialize_graph,
 )
 from helpers import (
     all_loop_graphs,
@@ -245,10 +249,29 @@ def test_local_complement_involution_exhaustive():
             assert local_complement(local_complement(g, u), u) == g
 
 
-def test_local_complement_rejects_loop_graphs():
-    g = Graph(edges=[("a", "b")], loops=["b"])
-    with pytest.raises(InputError):
-        local_complement(g, "a")
+def test_local_complement_is_the_lc_rule_exhaustive(tmp_path, capsys):
+    # the loop rule at a looped vertex, the neighbourhood toggle on a simple
+    # graph, else a refusal; the lc command replies as the library answers
+    path = tmp_path / "g.txt"
+    for h in all_loop_graphs(4):
+        path.write_text(serialize_graph(h))
+        g = parse_graph(path.read_text(), "edge-list")  # string ids, as lc reads them
+        for u in g.vertices:
+            code = cli.main(["lc", u, str(path)])
+            reply = capsys.readouterr()
+            if g.has_loop(u):
+                assert local_complement(g, u) == loop_complement(g, u)
+            elif g.is_simple():
+                toggled = set(g.edges) ^ set(combinations(sorted(g.neighbors(u)), 2))
+                assert local_complement(g, u) == Graph(g.vertices, toggled)
+            else:
+                message = f"lc at {u!r}: vertex has no loop and the graph is not simple"
+                with pytest.raises(NotApplicableError) as err:
+                    local_complement(g, u)
+                assert str(err.value) == message
+                assert (code, reply) == (1, ("", f"error: {message}\n"))
+                continue
+            assert (code, reply) == (0, (serialize_graph(local_complement(g, u)), ""))
 
 
 def test_loop_complement_requires_loop():

@@ -9,8 +9,8 @@ from helpers import run_child
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "replay.py"
 REPLAY_LINE = (
-    "975 requests, exit 0: 359, exit 1: 80, exit 2: 536,"
-    " sha256 52791c1845dec6e327b8eef6e22d1ba685873fe61223add49275c9632dea2e68\n"
+    "1001 requests, exit 0: 378, exit 1: 87, exit 2: 536,"
+    " sha256 1d4d61385f582caed0af3ccc11b6bfb0b97580c7a0d0f83dcec870cdf23a8edc\n"
 )
 
 

@@ -8,7 +8,12 @@ by tokens that hold a bracket, some shuffled, commented, faulty or not
 UTF-8, and as many graph6 files, some of them malformed.  On each it sends
 every command, with well-formed and malformed ``--seq``, ``--set`` and
 ``--anchor`` values, reading the graph from the file or from stdin; then
-``overlap`` words and usage errors.  Every request runs in this process.
+``overlap`` words and usage errors.  With every 25th graph it also writes a
+dense loop graph on 96 to 130 vertices as an edge list and a simple one in
+graph6, drawn from a generator of their own, and sends each the commands
+that walk the whole graph or a set of about 100 vertices: walks that long
+batch their row updates (``gf2.BATCH_MIN``), and graph6 writes an order of
+63 or more in its long form.  Every request runs in this process.
 
 It prints the number of requests per exit code and one SHA-256 over every
 (argv, exit code, stdout, stderr), with the temporary directory masked.  Two
@@ -65,13 +70,19 @@ def edge_list(rng, labels) -> bytes:
     return text.encode()
 
 
+def graph6_body(n: int, bits: str) -> str:
+    """The graph6 line of order ``n`` whose upper triangle, column by column, is ``bits``."""
+    bits += "0" * (-len(bits) % 6)
+    order = chr(63 + n) if n < 63 else "~" + "".join(chr(63 + (n >> s & 63)) for s in (12, 6, 0))
+    return order + "".join(chr(63 + int(bits[k : k + 6], 2)) for k in range(0, len(bits), 6))
+
+
 def graph6(rng) -> bytes:
     """A random simple graph on at most 12 vertices in graph6, now and then malformed."""
     n = rng.randrange(13)
     p = rng.random()
     bits = "".join("1" if rng.random() < p else "0" for j in range(1, n) for i in range(j))
-    bits += "0" * (-len(bits) % 6)
-    body = chr(63 + n) + "".join(chr(63 + int(bits[k : k + 6], 2)) for k in range(0, len(bits), 6))
+    body = graph6_body(n, bits)
     form = rng.choice(
         ["{}", "{}\n", ">>graph6<<{}\n", ">>graph6<<>>graph6<<{}", " {}", "{}\n{}\n", "",
          ">>graph6<<", "{}é", "☃{}", "{}\x7f", "{}!"]
@@ -127,9 +138,41 @@ def graph_requests(rng, path: str, labels) -> list:
     return requests
 
 
+def large_requests(rng, tmp: Path, k: int) -> list:
+    """A dense loop graph on 96 to 130 vertices as an edge-list file and a
+    simple one as a graph6 file, each with the commands that walk it whole
+    or walk a set of about 100 of its vertices, as (argv, None) pairs."""
+    requests = []
+    for fmt, suffix in (("edge-list", "txt"), ("graph6", "g6")):
+        n = rng.randrange(96, 131)
+        labels = [str(v) for v in range(n)]
+        p = rng.uniform(0.3, 0.7)
+        pairs = [(labels[i], labels[j]) for j in range(1, n) for i in range(j)]  # graph6's order
+        bits = [rng.random() < p for _ in pairs]
+        edges = [e for e, b in zip(pairs, bits) if b]
+        path = tmp / f"large{k}.{suffix}"
+        if fmt == "edge-list":
+            loops = {v for v in labels if rng.random() < 0.5}
+            path.write_text(serialize_graph(Graph(labels, edges, loops)))
+        else:
+            loops = set()
+            path.write_text(graph6_body(n, "".join("01"[b] for b in bits)) + "\n")
+        u, v = rng.choice([e for e in edges if not loops.intersection(e)] or edges)
+        picked = rng.sample(labels, rng.randrange(96, min(n, 110) + 1))
+        s = ",".join(picked)
+        out = [[cmd] for cmd in ("det", "pm", "witness", "reduce-to-empty")]
+        out += [["pivot", u, v], ["pivot", *rng.sample(labels, 2)]]
+        out += [["lc", rng.choice(sorted(loops) or labels)], ["lc", rng.choice(labels)]]
+        out += [["apply", "--seq", f"[{u} {v}]"], ["apply", "--seq", seq_text(rng, labels)]]
+        out += [["apply-support", "--set", s], ["applicable", "--set", s]]
+        out.append(["reduce", "--set", s, "--anchor", rng.choice(picked)])
+        requests += [(argv + ["-f", fmt, str(path)], None) for argv in out]
+    return requests
+
+
 def corpus(seed: int, graphs: int, tmp: Path) -> list:
     """The seeded requests as (argv, stdin path or None), their files written under ``tmp``."""
-    rng = random.Random(seed)
+    rng, large = random.Random(seed), random.Random(f"large {seed}")
     requests = [(argv, None) for argv in USAGE]
     requests.append((["det", str(tmp / "missing")], None))
     for k in range(graphs):
@@ -148,6 +191,8 @@ def corpus(seed: int, graphs: int, tmp: Path) -> list:
         if symbols and rng.random() < 0.2:
             symbols.pop()
         requests.append((["overlap", "--word", " ".join(symbols)], None))
+        if k % 25 == 0:
+            requests += large_requests(large, tmp, k)
     return requests
 
 
