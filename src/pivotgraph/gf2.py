@@ -77,9 +77,9 @@ def _index(x, what: str) -> int:
 
 
 # A walk over at least this many positions batches its row updates (see
-# _pivot_out).  Over every position of random matrices, batching wins from
-# 64-80 positions at edge probability 1/2 and 1/4 and from about 96 at 1/10;
-# the threshold is the one at 1/10.  tools/crossovers.py prints the grid.
+# _pivot_out).  In the "consecutive" rows at n = 100 of tools/crossovers.py,
+# batching wins from 4-8 positions at edge probability 1/2 and 1/4 and from
+# about 96 at 1/10 (not yet at 1/20); the threshold is the one at 1/10.
 BATCH_MIN = 96
 
 # The positions taken in one batch lie in at most this many consecutive
@@ -381,11 +381,11 @@ class Gf2Matrix:
 
     def principal_submatrix(self, keep: Iterable[Label]) -> "Gf2Matrix":
         """Restrict to the rows and columns in ``keep``, preserving label order."""
-        return self._submatrix(_mask(self._positions(_items(keep, "keep"), "label")))
+        return self._submatrix(_ones(_mask(self._positions(_items(keep, "keep"), "label"))))
 
-    def _submatrix(self, live: int) -> "Gf2Matrix":
-        """Principal submatrix on the positions in the bitmask ``live``."""
-        pos = list(_ones(live))
+    def _submatrix(self, pos: Iterable[int]) -> "Gf2Matrix":
+        """The matrix on the distinct positions ``pos``, taken in the order given."""
+        pos = list(pos)
         labels = tuple(self._labels[i] for i in pos)
         return Gf2Matrix._trusted(labels, _transpose(self._rows, self.order, pos))
 

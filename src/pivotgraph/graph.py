@@ -6,7 +6,7 @@ from itertools import accumulate
 from operator import xor
 
 from .errors import InputError, NotApplicableError
-from .gf2 import Gf2Matrix, _items, _mask, _ones, _transpose, _vertex_ids
+from .gf2 import Gf2Matrix, _items, _mask, _ones, _vertex_ids
 
 __all__ = [
     "Graph",
@@ -94,8 +94,7 @@ class Graph:
         return i != j and bool(self._matrix.rows[i] >> j & 1)
 
     def has_loop(self, v) -> bool:
-        (i,) = self._positions((v,))
-        return bool(self._matrix.rows[i] >> i & 1)
+        return bool(self.adj_entry(v, v))
 
     def neighbors(self, v) -> frozenset:
         (i,) = self._positions((v,))
@@ -115,7 +114,7 @@ class Graph:
         return self._matrix.rows[i] >> j & 1
 
     def induced_subgraph(self, keep: Iterable) -> "Graph":
-        return Graph._of(self._matrix._submatrix(_mask(self._positions(_items(keep, "keep")))))
+        return Graph._of(self._matrix._submatrix(_ones(_mask(self._positions(_items(keep, "keep"))))))
 
     def adjacency_matrix(self) -> Gf2Matrix:
         """Symmetric GF(2) matrix with edge bits off-diagonal and loop bits on it."""
@@ -126,8 +125,7 @@ class Graph:
         labels = _sorted_ids(_expect(m, Gf2Matrix).labels)
         if labels == m.labels:
             return cls._of(m)
-        pos = m._positions(labels, "label")
-        return cls._of(Gf2Matrix._trusted(labels, _transpose(m.rows, m.order, pos)))
+        return cls._of(m._submatrix(m._positions(labels, "label")))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
@@ -191,11 +189,11 @@ def _bit_rows(labels: tuple, us: Sequence, vs: Sequence, loops: Iterable) -> tup
 def local_complement(G: Graph, u) -> Graph:
     """Local complementation at u, the ``lc`` rule: the loop rule if u has a loop,
     else, on a simple graph only, complement the edges among the neighbors of u."""
-    (i,) = _expect(G, Graph)._positions((u,))
-    if G._matrix.rows[i] >> i & 1:
-        return Graph._of(G._matrix._ppt(1 << i))
+    if _expect(G, Graph).has_loop(u):
+        return loop_complement(G, u)
     if not G.is_simple():
         raise NotApplicableError(f"lc at {u!r}: vertex has no loop and the graph is not simple")
+    (i,) = G._positions((u,))
     # each neighbour row adds the neighbourhood of u, minus its own diagonal bit
     rows = list(G._matrix.rows)
     nbrs = rows[i]

@@ -112,12 +112,8 @@ def support(seq: Iterable) -> frozenset:
 
 def is_reduced(seq: Iterable) -> bool:
     """True when no vertex occurs in more than one operation."""
-    seen = set()
-    for op in _validated(None, seq):
-        if op.touched & seen:
-            return False
-        seen |= op.touched
-    return True
+    ops = _validated(None, seq)
+    return sum(map(len, ops)) == len(frozenset().union(*ops))  # a Pivot's ends are distinct
 
 
 def is_applicable(G: Graph, seq: Iterable) -> bool:

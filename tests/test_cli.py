@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import io
 import os
@@ -302,6 +303,28 @@ def test_cli_import_skips_heavy_modules(tmp_path):
         proc = run_child([*flags, "-c", probe], text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[0, 2, 2] []\n", flags
+
+
+def test_src_imports_are_used():
+    # a dead import still costs its load, and nothing else in the suite sees one
+    unused = {}
+    for path in sorted((SRC / "pivotgraph").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if "__all__" in [getattr(t, "id", None) for t in getattr(node, "targets", ())]:
+                with contextlib.suppress(ValueError):
+                    used.update(ast.literal_eval(node.value))
+        imported = [
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+            if alias.name != "*"
+        ]
+        if missing := [name for name in imported if name not in used]:
+            unused[path.name] = missing
+    assert unused == {}
 
 
 def test_non_utf8_input_is_input_error(run, tmp_path):

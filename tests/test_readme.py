@@ -107,6 +107,8 @@ def test_crossovers_prints_one_row_per_point(crossovers, capsys):
     rows = [line.split() for line in capsys.readouterr().out.splitlines()[3:]]
     # (p, placement, n), then one cell per k
     assert [row[:3] for row in rows] == [
-        [p, place, "100"] for p in ("0.5", "0.05") for place in ("consecutive", "scattered")
+        [p, place, "100"]
+        for p in ("0.5", "0.25", "0.1", "0.05")
+        for place in ("consecutive", "scattered")
     ]
     assert all(len(row) == 4 for row in rows)

@@ -1,7 +1,7 @@
 import copy
 import pickle
 import random
-from itertools import combinations
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -200,6 +200,13 @@ def test_is_reduced():
     assert is_reduced([Pivot("a", "b"), LocalComp("c")])
     assert not is_reduced([Pivot("a", "b"), Pivot("b", "c")])
     assert not is_reduced([LocalComp("a"), LocalComp("a")])
+    # every sequence of at most 3 of the 16 operations over 4 vertices
+    ops = [LocalComp(v) for v in "abcd"] + [Pivot(u, v) for u, v in permutations("abcd", 2)]
+    seqs = [seq for k in range(4) for seq in product(ops, repeat=k)]
+    assert len(ops) == 16 and len(seqs) == 4369
+    for seq in seqs:
+        flat = [getattr(op, field) for op in seq for field in op.__match_args__]
+        assert is_reduced(seq) == (len(flat) == len(set(flat))), seq
 
 
 def test_apply_and_applicability():

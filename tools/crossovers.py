@@ -7,8 +7,8 @@ Prints two grids and checks nothing; ``tests/test_readme.py`` runs both on
 one point each, so the tool keeps working.  Seeds and sizes are fixed, so a
 later change can re-derive both constants on its own machine.  Each time is
 the best of ``REPEAT`` calls in one process, with the paths of a point
-interleaved.  A run took 18 s to 2.5 min on a 2-core Intel Xeon, as its
-load varied.
+interleaved.  Two runs took 27 s and 30 s on a shared 2-core Intel Xeon
+(Python 3.11.7); on a busy machine a run has taken minutes.
 
 1. The edge-list reader by path, on random graphs in the writer's form with
    n vertices, m = n*n / ratio edge lines and 30 % loops: the run read that
@@ -17,7 +17,7 @@ load varied.
    same text after a comment line).  ``bit/T`` above 1 means the transpose
    wins; ``rule`` is the side ``_DENSE`` picks.
 2. The pivot-out walk over k positions of n random rows with 30 % loops, at
-   edge probability 1/2 and 1/20, the positions the lowest k
+   edge probability 1/2, 1/4, 1/10 and 1/20, the positions the lowest k
    ("consecutive") or k at random ("scattered"): the direct walk's time over
    forced batching's, so above 1 means batching wins.  Each cell is the
    median over ``SETS`` row and position sets; ``*`` marks the walks that
@@ -114,7 +114,7 @@ def walk_grid() -> None:
     rng = random.Random(7)
     print(f"\npivot-out walk, direct time / batched time (median of {SETS} sets, best of {REPEAT})")
     print(f"{'p':>5} {'positions':>11} {'n':>5} " + " ".join(f"{k:>6}" for k in WALK_K))
-    for p in (0.5, 0.05):
+    for p in (0.5, 0.25, 0.1, 0.05):
         for scattered in (False, True):
             for n in WALK_N:
                 cells = [
